@@ -24,7 +24,7 @@ from .executor import (
     step,
     walk_successor,
 )
-from .worldmap import GridMap, TileCoord, chebyshev
+from .worldmap import GridMap, TileCoord
 
 JUMP_STEP_BUDGET = 200
 
@@ -76,17 +76,6 @@ def _street_graph_distances(grid: GridMap, targets: set[TileCoord]) -> dict[Tile
     return dist
 
 
-def _target_tiles(grid: GridMap, gid: int) -> set[TileCoord]:
-    """Walkable tiles at or adjacent to the grounding's footprint."""
-    footprint = grid.grounding_tiles(gid)
-    out: set[TileCoord] = set()
-    for street in grid.streets:
-        for tile in street.tiles:
-            if any(chebyshev(tile, f) <= 1 for f in footprint):
-                out.add(tile)
-    return out
-
-
 def jump(
     grid: GridMap,
     bindings,
@@ -98,7 +87,8 @@ def jump(
     actions: list[Action] = []
     pose = p0
     for _, gid in bindings:
-        targets = _target_tiles(grid, gid)
+        # walkable tiles at or adjacent to the grounding's footprint
+        targets = {t for t in grid.tiles_within(gid, 1) if grid.is_walkable(t)}
         if not targets:
             continue
         dist = _street_graph_distances(grid, targets)

@@ -1,9 +1,11 @@
 """Command-line shell binding maps, corpora, models, and evaluation together.
 
-Subcommands: synth, stats, simulate, abstract, train, evaluate, baseline,
-gradcheck. Every subcommand accepts --seed (default from URBANAV_SEED) and
---config pointing at a flat key=value file. Contract violations exit
-non-zero with the offending flag or key on stderr.
+Subcommands: synth, stats, simulate, abstract, train, evaluate, gradcheck.
+A subcommand takes --seed (default from URBANAV_SEED) only if it draws
+random numbers (synth, train, gradcheck), and --config, a flat key=value
+file, only if it has a spec or model config to override (synth, train, and
+evaluate with a model policy). Contract violations exit non-zero with the
+offending flag or key on stderr.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ def cmd_train(args) -> int:
 
 def _policy_factory(name: str, args):
     if name in BASELINES:
+        if args.config:
+            raise ConfigError(f"--config has no effect on the {name!r} policy")
         return BASELINES[name], name, ""
     variant = name.upper()
     if variant not in VARIANTS:
@@ -156,7 +160,7 @@ def cmd_evaluate(args) -> int:
         seeds=seeds,
         policy_name=name,
         variant=variant,
-        config_echo={"seed": args.seed, "seeds": list(seeds), **overrides},
+        config_echo={"seeds": list(seeds), **overrides},
         n_jobs=args.jobs,
     )
     report_dir = Path(args.report_dir or Path(args.data) / "reports" / name)
@@ -169,13 +173,6 @@ def cmd_evaluate(args) -> int:
         f"{100 * report.weighted_paragraph_accuracy:.2f} -> {report_dir}"
     )
     return 0
-
-
-def cmd_baseline(args) -> int:
-    if args.kind not in BASELINES:
-        raise ConfigError(f"--kind must be one of {', '.join(BASELINES)}")
-    args.policy = args.kind
-    return cmd_evaluate(args)
 
 
 def cmd_gradcheck(args) -> int:
@@ -192,65 +189,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"urbanav {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        # No prefix matching: `evaluate --seed` must fail, not become `--seeds`.
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=default_seed())
+
+    def add_config(p):
         p.add_argument("--config", help="flat key=value config file")
 
-    p = sub.add_parser("synth", help="generate synthetic maps and a corpus")
+    p = command("synth", "generate synthetic maps and a corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--preset", choices=("default", "run-shape"), default="default")
-    common(p)
+    add_seed(p)
+    add_config(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("stats", help="corpus and map statistics")
+    p = command("stats", "corpus and map statistics")
     p.add_argument("--data", required=True)
-    common(p)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("simulate", help="execute an action string on a map")
+    p = command("simulate", "execute an action string on a map")
     p.add_argument("--map", required=True)
     p.add_argument("--start", required=True, help="(street_id,index,dir)")
     p.add_argument("--actions", required=True, help="e.g. 'WALK WALK END'")
-    common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("abstract", help="abstract entity mentions in a sentence")
+    p = command("abstract", "abstract entity mentions in a sentence")
     p.add_argument("--map", required=True)
     p.add_argument("--text", required=True)
-    common(p)
     p.set_defaults(func=cmd_abstract)
 
-    p = sub.add_parser("train", help="train one model variant")
+    p = command("train", "train one model variant")
     p.add_argument("--data", required=True)
     p.add_argument("--variant", choices=[v.lower() for v in VARIANTS] + list(VARIANTS),
                    default="CGAEW")
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
     p.add_argument("--log", help="per-epoch CSV log path")
     p.add_argument("--test-map", help="hold this map out of training")
-    common(p)
+    add_seed(p)
+    add_config(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="run the three-fold evaluation protocol")
+    p = command("evaluate", "run the three-fold evaluation protocol")
     p.add_argument("--data", required=True)
     p.add_argument("--policy", required=True,
                    help="no-move | random | jump | cga | cgae | cgaew")
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--report-dir")
     p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
-    common(p)
+    add_config(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("baseline", help="evaluate a non-learned baseline")
-    p.add_argument("--data", required=True)
-    p.add_argument("--kind", required=True, help="no-move | random | jump")
-    p.add_argument("--seeds", default="0", help="comma-separated seeds")
-    p.add_argument("--report-dir")
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
-    common(p)
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    common(p)
+    p = command("gradcheck", "finite-difference gradient check")
+    add_seed(p)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

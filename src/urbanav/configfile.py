@@ -51,13 +51,11 @@ def _coerce(value: str):
     return value
 
 
-def apply_overrides(defaults, overrides: dict, allowed: set[str] | None = None):
+def apply_overrides(defaults, overrides: dict):
     """Returns a dataclass copy updated with override keys; rejects unknowns."""
     from dataclasses import fields, replace
 
     known = {f.name for f in fields(defaults)}
-    if allowed is not None:
-        known &= allowed
     bad = [k for k in overrides if k not in known]
     if bad:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(bad))}")

@@ -32,7 +32,6 @@ class SuccessPredicateConfig:
 class FoldPlan:
     test_map: str
     train_maps: tuple[str, ...]
-    validation_fraction: float = 0.10
 
 
 def make_folds(map_ids) -> list[FoldPlan]:
@@ -250,7 +249,6 @@ def run_protocol(
     policy_factory,
     cfg: SuccessPredicateConfig | None = None,
     seeds: tuple[int, ...] = (0,),
-    folds: list[FoldPlan] | None = None,
     policy_name: str = "",
     variant: str = "",
     config_echo: dict | None = None,
@@ -267,7 +265,7 @@ def run_protocol(
     from . import __version__
 
     cfg = cfg or SuccessPredicateConfig()
-    folds = folds or make_folds(sorted(maps))
+    folds = make_folds(sorted(maps))
     tasks = [
         (corpus, maps, plan, seed, cfg, policy_factory)
         for seed in seeds

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,9 +136,6 @@ class ModelParameters:
     def __getitem__(self, name: str) -> ad.Tensor:
         return self.tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     def items(self):
         return self.tensors.items()
 
@@ -209,12 +206,6 @@ class NavigationModel:
         proj = ad.matmul(states, p["att_Wh"])
         return states, proj
 
-    def encode_states(self, token_ids: list[int]) -> list[np.ndarray]:
-        """Encoder hidden vectors as plain arrays (inference view)."""
-        with ad.no_grad():
-            states, _ = self.encode(token_ids)
-        return [row for row in states.data]
-
     # -- attention -------------------------------------------------------------
 
     def attend(self, states, proj, dec_state, world: WorldState | None):
@@ -255,27 +246,6 @@ class NavigationModel:
         out_in = self._dropout(h2, dropout_rng) if dropout_rng is not None else h2
         logits = ad.add(ad.mv(p["out_W"], out_in), p["out_b"])
         return logits, h2, c2
-
-    def decode_step(self, prev_action: Action, state, context, world: WorldState | None = None):
-        """One inference step: distribution over the 5 actions plus new state.
-
-        ``state`` is (h, c) as plain arrays or None for the initial state.
-        """
-        dtype = self.config.np_dtype()
-        Hd = self.config.decoder_hidden
-        with ad.no_grad():
-            if state is None:
-                h = ad.constant(np.zeros(Hd, dtype=dtype))
-                c = ad.constant(np.zeros(Hd, dtype=dtype))
-            else:
-                h, c = ad.constant(state[0]), ad.constant(state[1])
-            if not isinstance(context, ad.Tensor):
-                context = ad.constant(context)
-            logits, h2, c2 = self._decoder_step(
-                ACTION_IDS[prev_action], h, c, context, world, None
-            )
-            probs = ad.softmax(logits)
-        return probs.data, (h2.data, c2.data)
 
     # -- training loss ------------------------------------------------------------
 
@@ -318,9 +288,10 @@ class NavigationModel:
         if width < 1:
             raise ValueError("beam_width must be >= 1")
         with ad.no_grad():
-            result = self._beam(tokens, p0, grid, bindings, width)
+            encoded = self.encode(self.vocab.encode(tokens))
+            result = self._beam(encoded, p0, grid, bindings, width)
             if width > 1:
-                greedy = self._beam(tokens, p0, grid, bindings, 1)
+                greedy = self._beam(encoded, p0, grid, bindings, 1)
                 if not greedy.all_pruned and (greedy.score > result.score or result.all_pruned):
                     greedy.max_live = max(greedy.max_live, result.max_live)
                     result = greedy
@@ -335,10 +306,9 @@ class NavigationModel:
             dtype=self.config.np_dtype(),
         )
 
-    def _beam(self, tokens, p0, grid, bindings, width) -> BeamResult:
+    def _beam(self, encoded, p0, grid, bindings, width) -> BeamResult:
         cfg = self.config
-        token_ids = self.vocab.encode(tokens)
-        states, proj = self.encode(token_ids)
+        states, proj = encoded
         dtype = cfg.np_dtype()
         Hd = cfg.decoder_hidden
         zeros = np.zeros(Hd, dtype=dtype)
@@ -438,7 +408,3 @@ def _lstm_step(terms, bias, c_prev, hidden):
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
     h = ad.mul(o, ad.tanh(c))
     return h, c
-
-
-def config_for_variant(base: ModelConfig, variant: str) -> ModelConfig:
-    return replace(base, variant=variant)

@@ -26,8 +26,6 @@ if TYPE_CHECKING:
 
 TILE_SIZE_M = 11.132
 
-ENTITY_TYPES_VERSION = 1
-
 # Closed inventory, loosely following OSM tag conventions. "street" covers
 # named walkable ways; "other" is the sink for unknown types in files.
 ENTITY_TYPES: tuple[str, ...] = (
@@ -162,8 +160,6 @@ class GridMap:
                     raise MapValidationError(
                         f"entity {e.id}: footprint tile {t} outside {self.width}x{self.height} grid"
                     )
-            if e.name is None and e.entity_type is None:
-                raise MapValidationError(f"entity {e.id}: needs a name or a type")
             if e.entity_type not in _TYPE_INDEX:
                 raise MapValidationError(f"entity {e.id}: unknown type {e.entity_type!r}")
         for s in self.streets:

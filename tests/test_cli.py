@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from urbanav.cli import main
+from urbanav.cli import build_parser, main
 from urbanav.corpus import load_corpus
 from urbanav.worldmap import save_map
 
@@ -121,12 +121,54 @@ def test_evaluate_no_move_writes_reports(data_dir, capsys):
     assert csv_text.startswith("policy,variant,fold")
 
 
-def test_baseline_alias(data_dir, tmp_path):
+def test_evaluate_random_policy_writes_reports(data_dir, tmp_path):
     out = tmp_path / "rep"
-    code = main(["baseline", "--data", str(data_dir), "--kind", "random",
+    code = main(["evaluate", "--data", str(data_dir), "--policy", "random",
                  "--seeds", "1", "--report-dir", str(out)])
     assert code == 0
-    assert (out / "report.json").exists()
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["policy"] == "random"
+    assert payload["config"] == {"seeds": [1]}
+
+
+@pytest.mark.parametrize("text", [TINY_MODEL, ""])
+def test_evaluate_baseline_rejects_config(data_dir, tmp_path, capsys, text):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "rep"
+    code = main(["evaluate", "--data", str(data_dir), "--policy", "jump",
+                 "--config", str(cfg), "--report-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--config" in err and "jump" in err
+    assert not out.exists()
+
+
+SEED_COMMANDS = {"synth", "train", "gradcheck"}
+CONFIG_COMMANDS = {"synth", "train", "evaluate"}
+
+
+def test_seed_and_config_flags_only_where_read():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == {"synth", "stats", "simulate", "abstract", "train",
+                                "evaluate", "gradcheck"}
+    for name, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert ("--seed" in flags) == (name in SEED_COMMANDS), name
+        assert ("--config" in flags) == (name in CONFIG_COMMANDS), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--data", "d", "--seed", "1"],
+    ["gradcheck", "--config", "f"],
+    ["evaluate", "--data", "d", "--policy", "no-move", "--seed", "1"],
+    ["baseline", "--data", "d", "--kind", "random"],
+])
+def test_removed_flags_and_commands_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code != 0
+    assert "error:" in capsys.readouterr().err
 
 
 def test_train_and_evaluate_model(data_dir, tmp_path, capsys):

@@ -10,6 +10,7 @@ from urbanav.executor import Action, Pose
 from urbanav.model import (
     ACTIONS,
     ACTION_IDS,
+    END_ID,
     ModelConfig,
     NavigationModel,
     length_penalty,
@@ -146,25 +147,28 @@ def test_cgaew_attention_with_zero_world_weights_equals_cgae():
 # -- decode step ----------------------------------------------------------------
 
 
-def test_decode_step_distribution_sums_to_one():
-    model = tiny_model()
+def first_step_probs(model, token_ids):
+    """Action distribution and state after the first decoder step."""
+    zeros = ad.constant(np.zeros(8))
     with ad.no_grad():
-        states, proj = model.encode([2, 3])
-        ctx, _ = model.attend(states, proj, ad.constant(np.zeros(8)), dummy_world())
-    probs, state = model.decode_step(Action.END, None, ctx.data, dummy_world())
+        states, proj = model.encode(token_ids)
+        ctx, _ = model.attend(states, proj, zeros, dummy_world())
+        logits, h, c = model._decoder_step(END_ID, zeros, zeros, ctx, dummy_world(), None)
+        return ad.softmax(logits).data, h.data
+
+
+def test_decoder_step_distribution_sums_to_one():
+    probs, h = first_step_probs(tiny_model(), [2, 3])
     assert probs.shape == (5,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
-    assert state[0].shape == (8,)
+    assert h.shape == (8,)
 
 
 def test_zero_output_projection_gives_uniform():
     model = tiny_model()
     model.params["out_W"].data[...] = 0.0
     model.params["out_b"].data[...] = 0.0
-    with ad.no_grad():
-        states, proj = model.encode([2])
-        ctx, _ = model.attend(states, proj, ad.constant(np.zeros(8)), dummy_world())
-    probs, _ = model.decode_step(Action.END, None, ctx.data, dummy_world())
+    probs, _ = first_step_probs(model, [2])
     assert np.allclose(probs, 0.2)
 
 
@@ -207,11 +211,11 @@ def test_beam_width_one_is_greedy():
     bindings = (("<SHOP_1>", 10),)
     beam = model.beam_search(tokens, p0, grid, bindings, beam_width=1)
 
-    # manual greedy rollout via decode_step
+    # manual greedy rollout over the shared decoder step
     with ad.no_grad():
         states, proj = model.encode(VOCAB.encode(tokens))
     pose = p0
-    state = (np.zeros(8), np.zeros(8))
+    h = c = ad.constant(np.zeros(8))
     prev = Action.END
     actions = []
     from urbanav.executor import ExecutorError, step as exec_step
@@ -219,8 +223,9 @@ def test_beam_width_one_is_greedy():
     for _ in range(model.config.max_decode_len):
         world = compute_world(grid, pose, bindings, LAYOUT, horizon=4, radius=1, dtype=np.float64)
         with ad.no_grad():
-            ctx, _ = model.attend(states, proj, ad.constant(state[0]), world)
-        probs, state = model.decode_step(prev, state, ctx.data, world)
+            ctx, _ = model.attend(states, proj, h, world)
+            logits, h, c = model._decoder_step(ACTION_IDS[prev], h, c, ctx, world, None)
+            probs = ad.softmax(logits).data
         ranked = np.argsort(-probs)
         chosen = None
         for a_id in ranked:

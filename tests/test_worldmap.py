@@ -143,6 +143,20 @@ def test_entities_at_matches_bruteforce_on_synthetic(synth_small):
             assert [e.id for e in grid.entities_at(c, r)] == expected
 
 
+def test_walkable_tiles_within_one_match_bruteforce(synth_small):
+    maps, _ = synth_small
+    for grid in maps.values():
+        street_tiles = {t for s in grid.streets for t in s.tiles}
+        gids = [e.id for e in grid.entities] + [s.id for s in grid.streets]
+        for gid in gids:
+            footprint = grid.grounding_tiles(gid)
+            expected = {
+                t for t in street_tiles if any(chebyshev(t, f) <= 1 for f in footprint)
+            }
+            got = {t for t in grid.tiles_within(gid, 1) if grid.is_walkable(t)}
+            assert got == expected
+
+
 def test_entities_at_out_of_grid_errors(plus):
     with pytest.raises(MapValidationError):
         plus.entities_at(TileCoord(99, 0), 1)
