@@ -4,7 +4,9 @@ Just enough machinery for small recurrent networks: nodes hold a value, an
 accumulated gradient, parent references, and a backward rule tag. The
 backward pass walks the graph in reverse topological order exactly once.
 Gradients accumulate into parent buffers in place, so embedding-row updates
-stay sparse. A module-level grad switch lets inference build no graph at all.
+stay sparse. Outer-product gradients of a leaf (a weight used once per time
+step) are collected during the pass and summed as one matrix product at its
+end. A module-level grad switch lets inference build no graph at all.
 
 ``backward(root, corrupt_rule=...)`` scales the gradient flowing through
 every node with the named rule tag; tests use this to prove the finite
@@ -32,7 +34,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "backward_fn", "rule", "requires_grad")
+    __slots__ = ("data", "grad", "parents", "backward_fn", "rule", "requires_grad", "outer_terms")
 
     def __init__(self, data, requires_grad: bool = False, rule: str = "leaf"):
         self.data = np.asarray(data)
@@ -41,13 +43,19 @@ class Tensor:
         self.backward_fn = None
         self.rule = rule
         self.requires_grad = requires_grad
+        # a leaf's pending outer-product gradient terms, as (left, right) lists
+        self.outer_terms: tuple[list, list] | None = None
 
     @property
     def shape(self):
         return self.data.shape
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        """Zeroes the gradient, reusing its buffer when there is one."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0)
 
     def __repr__(self) -> str:
         return f"Tensor(rule={self.rule}, shape={self.data.shape})"
@@ -68,6 +76,19 @@ def _acc(parent: Tensor, g) -> None:
     if parent.grad is None:
         parent.grad = np.zeros_like(parent.data)
     parent.grad += g
+
+
+def _acc_outer(parent: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """Adds ``np.outer(a, b)`` to ``parent.grad``; a leaf's terms wait for ``backward``'s end."""
+    if not parent.requires_grad:
+        return
+    if parent.backward_fn is not None:
+        _acc(parent, np.outer(a, b))
+        return
+    if parent.outer_terms is None:
+        parent.outer_terms = ([], [])
+    parent.outer_terms[0].append(a)
+    parent.outer_terms[1].append(b)
 
 
 def constant(data, dtype=None) -> Tensor:
@@ -129,15 +150,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bw, "tanh")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bw(g, a=a, y=out_data):
-        _acc(a, g * y * (1.0 - y))
-
-    return _make(out_data, (a,), bw, "sigmoid")
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax of a 1-D vector."""
     z = a.data - a.data.max()
@@ -154,45 +166,28 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def concat(parts: list[Tensor]) -> Tensor:
-    sizes = [p.data.shape[0] for p in parts]
+    """Concatenation along the last axis."""
+    sizes = [p.data.shape[-1] for p in parts]
 
     def bw(g, parts=tuple(parts), sizes=tuple(sizes)):
         at = 0
         for p, s in zip(parts, sizes):
-            _acc(p, g[at : at + s])
+            _acc(p, g[..., at : at + s])
             at += s
 
-    return _make(np.concatenate([p.data for p in parts]), parts, bw, "concat")
+    return _make(np.concatenate([p.data for p in parts], axis=-1), parts, bw, "concat")
 
 
-def slice1(a: Tensor, start: int, stop: int) -> Tensor:
-    def bw(g, a=a, start=start, stop=stop):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[start:stop] += g
+def gather(table: Tensor, ids) -> Tensor:
+    """Rows ``table[ids]`` (one row for an int id); the gradient stays a sparse row update."""
 
-    return _make(a.data[start:stop], (a,), bw, "slice1")
+    def bw(g, table=table, ids=ids):
+        if table.requires_grad:
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, ids, g)
 
-
-def stack_rows(rows: list[Tensor]) -> Tensor:
-    def bw(g, rows=tuple(rows)):
-        for i, r in enumerate(rows):
-            _acc(r, g[i])
-
-    return _make(np.stack([r.data for r in rows]), rows, bw, "stack_rows")
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    """Single row of a matrix; the gradient stays a sparse row update."""
-
-    def bw(g, a=a, i=i):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[i] += g
-
-    return _make(a.data[i], (a,), bw, "row")
+    return _make(table.data[ids], (table,), bw, "gather")
 
 
 # -- linear algebra --------------------------------------------------------------
@@ -202,7 +197,7 @@ def mv(m: Tensor, v: Tensor) -> Tensor:
     """Matrix-vector product M @ v."""
 
     def bw(g, m=m, v=v):
-        _acc(m, np.outer(g, v.data))
+        _acc_outer(m, g, v.data)
         _acc(v, m.data.T @ g)
 
     return _make(m.data @ v.data, (m, v), bw, "mv")
@@ -213,7 +208,7 @@ def vm(v: Tensor, m: Tensor) -> Tensor:
 
     def bw(g, v=v, m=m):
         _acc(v, m.data @ g)
-        _acc(m, np.outer(v.data, g))
+        _acc_outer(m, v.data, g)
 
     return _make(v.data @ m.data, (v, m), bw, "vm")
 
@@ -236,13 +231,107 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     return _make(m.data + v.data, (m, v), bw, "add_rowvec")
 
 
-def vsum(a: Tensor) -> Tensor:
-    """Sum of all elements; scalar output."""
+# -- recurrent cells ------------------------------------------------------------
+#
+# Gate order is i, f, g, o: the pre-activation z = sum_k W_k x_k + b splits
+# into four blocks, c = f * c_prev + i * g and h = o * tanh(c).
 
-    def bw(g, a=a):
-        _acc(a, np.broadcast_to(g, a.data.shape))
 
-    return _make(np.asarray(a.data.sum()), (a,), bw, "vsum")
+def _lstm_step(z: np.ndarray, c_prev: np.ndarray):
+    """(gate activations, c, tanh(c), h) of one step."""
+    n = c_prev.shape[0]
+    acts = 1.0 / (1.0 + np.exp(-z))
+    acts[2 * n : 3 * n] = np.tanh(z[2 * n : 3 * n])
+    c = acts[n : 2 * n] * c_prev + acts[:n] * acts[2 * n : 3 * n]
+    tanh_c = np.tanh(c)
+    return acts, c, tanh_c, acts[3 * n :] * tanh_c
+
+
+def _lstm_step_grads(acts, c_prev, tanh_c, dh, dc):
+    """(dz, dc_prev) of one step from the gradients dh and dc reaching h and c."""
+    n = c_prev.shape[0]
+    i, f, g, o = acts[:n], acts[n : 2 * n], acts[2 * n : 3 * n], acts[3 * n :]
+    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    dz = np.concatenate([
+        dc * g * i * (1.0 - i),
+        dc * c_prev * f * (1.0 - f),
+        dc * i * (1.0 - g * g),
+        dh * tanh_c * o * (1.0 - o),
+    ])
+    return dz, dc * f
+
+
+def lstm_cell(terms: list[tuple[Tensor, Tensor]], bias: Tensor, c_prev: Tensor):
+    """One fused LSTM step with pre-activation ``sum_k W_k @ x_k + bias``.
+
+    Each ``(W, x)`` term keeps its own weight block, summed in order.
+    Returns ``(h, c)``. The ``h`` node owns the step's backward rule; ``c``
+    is a second output that consumes ``h``, so a reverse topological walk
+    always reaches it first and it hands its gradient to ``h``'s rule. Both
+    carry the rule tag ``lstm_cell``.
+    """
+    z = terms[0][0].data @ terms[0][1].data
+    for w, x in terms[1:]:
+        z += w.data @ x.data
+    z += bias.data
+    acts, c_data, tanh_c, h_data = _lstm_step(z, c_prev.data)
+    dc_out = []  # the gradient reaching c, left by c's rule
+
+    def bw(g, terms=tuple(terms), bias=bias, c_prev=c_prev):
+        dz, dc_prev = _lstm_step_grads(acts, c_prev.data, tanh_c, g, dc_out[0] if dc_out else 0.0)
+        for w, x in terms:
+            _acc_outer(w, dz, x.data)
+            _acc(x, w.data.T @ dz)
+        _acc(bias, dz)
+        _acc(c_prev, dc_prev)
+
+    parents = tuple(t for term in terms for t in term) + (bias, c_prev)
+    h = _make(h_data, parents, bw, "lstm_cell")
+
+    def c_bw(g, h=h):
+        if h.grad is None:
+            h.grad = np.zeros_like(h.data)
+        dc_out.append(g)
+
+    return h, _make(c_data, (h,), c_bw, "lstm_cell")
+
+
+def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor, reverse: bool = False) -> Tensor:
+    """LSTM over the rows of ``x`` (N x E) from a zero state; N x H hidden states.
+
+    ``reverse`` runs from the last row to the first; output row t is still
+    the state at input row t. The inputs are projected with one product,
+    and the backward pass takes each weight's gradient as one product over
+    the whole sequence.
+    """
+    xs = x.data[::-1] if reverse else x.data
+    n, hidden = xs.shape[0], w_h.data.shape[1]
+    zx = xs @ w_x.data.T
+    acts = np.empty_like(zx)
+    hs = np.zeros((n + 1, hidden), dtype=zx.dtype)  # hs[t], cs[t]: state before row t
+    cs = np.zeros((n + 1, hidden), dtype=zx.dtype)
+    tanh_c = np.empty((n, hidden), dtype=zx.dtype)
+    for t in range(n):
+        z = zx[t] + w_h.data @ hs[t]
+        z += bias.data
+        acts[t], cs[t + 1], tanh_c[t], hs[t + 1] = _lstm_step(z, cs[t])
+
+    def bw(g, x=x, w_x=w_x, w_h=w_h, bias=bias):
+        dh_out = g[::-1] if reverse else g
+        dz = np.empty_like(acts)
+        dh_next = dc_next = 0.0
+        for t in range(n - 1, -1, -1):
+            dh = dh_out[t] + dh_next
+            dz[t], dc_next = _lstm_step_grads(acts[t], cs[t], tanh_c[t], dh, dc_next)
+            dh_next = w_h.data.T @ dz[t]
+        _acc(w_x, dz.T @ xs)
+        _acc(w_h, dz.T @ hs[:-1])
+        _acc(bias, dz.sum(axis=0))
+        dx = dz @ w_x.data
+        _acc(x, dx[::-1] if reverse else dx)
+
+    out = hs[1:][::-1] if reverse else hs[1:]
+    return _make(np.ascontiguousarray(out), (x, w_x, w_h, bias), bw, "lstm")
 
 
 # -- losses -----------------------------------------------------------------------
@@ -299,10 +388,18 @@ def backward(root: Tensor, corrupt_rule: str | None = None, corrupt_scale: float
     if root.data.shape != ():
         raise ValueError("backward expects a scalar root")
     root.grad = np.ones_like(root.data)
-    for node in reversed(_topo_order(root)):
-        if node.backward_fn is None or node.grad is None:
-            continue
-        g = node.grad
-        if corrupt_rule is not None and node.rule == corrupt_rule:
-            g = g * corrupt_scale
-        node.backward_fn(g)
+    order = _topo_order(root)
+    try:
+        for node in reversed(order):
+            if node.backward_fn is None or node.grad is None:
+                continue
+            g = node.grad
+            if corrupt_rule is not None and node.rule == corrupt_rule:
+                g = g * corrupt_scale
+            node.backward_fn(g)
+    finally:
+        for node in order:
+            if node.outer_terms is not None:
+                left, right = node.outer_terms
+                node.outer_terms = None
+                _acc(node, np.stack(left, axis=1) @ np.stack(right))

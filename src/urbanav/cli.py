@@ -48,6 +48,12 @@ def _load_data_dir(path: str):
     return corpus, maps
 
 
+def _seed(args) -> int:
+    # Read here, not as the parser default, so a bad URBANAV_SEED is reported
+    # as an error, and only by the subcommands that take --seed.
+    return default_seed() if args.seed is None else args.seed
+
+
 def _overrides(args) -> dict:
     return load_config(args.config) if args.config else {}
 
@@ -62,7 +68,7 @@ def _parse_pose_arg(text: str) -> Pose:
 def cmd_synth(args) -> int:
     spec = SynthSpec.run_shape() if args.preset == "run-shape" else SynthSpec.default()
     spec = apply_overrides(spec, _overrides(args))
-    spec = replace(spec, seed=args.seed)
+    spec = replace(spec, seed=_seed(args))
     maps, corpus = generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -118,9 +124,10 @@ def cmd_train(args) -> int:
         if args.test_map not in maps:
             raise ConfigError(f"--test-map {args.test_map!r} not in data dir")
         corpus = corpus.for_maps([m for m in maps if m != args.test_map])
-    config = _model_config(args, args.seed)
+    seed = _seed(args)
+    config = _model_config(args, seed)
     policy = ModelPolicy(config)
-    policy.fit(corpus, maps, args.seed)
+    policy.fit(corpus, maps, seed)
     policy.model.save(args.out)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
@@ -176,7 +183,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    error = gradient_check(seed=args.seed)
+    error = gradient_check(seed=_seed(args))
     print(f"max relative gradient error: {error:.3e}")
     return 0 if error < 1e-4 else 1
 
@@ -194,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=default_seed())
+        p.add_argument("--seed", type=int, help="default: URBANAV_SEED, else 0")
 
     def add_config(p):
         p.add_argument("--config", help="flat key=value config file")

@@ -184,25 +184,12 @@ class NavigationModel:
         if not token_ids:
             raise ValueError("cannot encode an empty sentence")
         p = self.params
-        dtype = self.config.np_dtype()
-        He = self.config.encoder_hidden // 2
-        embs = [ad.row(p["tok_emb"], i) for i in token_ids]
+        x = ad.gather(p["tok_emb"], token_ids)
         if dropout_rng is not None:
-            embs = [self._dropout(e, dropout_rng) for e in embs]
-
-        def run(Wx, Wh, b, xs):
-            h = ad.constant(np.zeros(He, dtype=dtype))
-            c = ad.constant(np.zeros(He, dtype=dtype))
-            states = []
-            for x in xs:
-                h, c = _lstm_step([(Wx, x), (Wh, h)], b, c, He)
-                states.append(h)
-            return states
-
-        fwd = run(p["enc_fwd_Wx"], p["enc_fwd_Wh"], p["enc_fwd_b"], embs)
-        bwd = run(p["enc_bwd_Wx"], p["enc_bwd_Wh"], p["enc_bwd_b"], list(reversed(embs)))
-        bwd.reverse()
-        states = ad.stack_rows([ad.concat([f, b]) for f, b in zip(fwd, bwd)])
+            x = self._dropout(x, dropout_rng)
+        fwd = ad.lstm(x, p["enc_fwd_Wx"], p["enc_fwd_Wh"], p["enc_fwd_b"])
+        bwd = ad.lstm(x, p["enc_bwd_Wx"], p["enc_bwd_Wh"], p["enc_bwd_b"], reverse=True)
+        states = ad.concat([fwd, bwd])
         proj = ad.matmul(states, p["att_Wh"])
         return states, proj
 
@@ -233,16 +220,15 @@ class NavigationModel:
 
     def _decoder_step(self, prev_action_id, h, c, context, world, dropout_rng):
         p = self.params
-        Hd = self.config.decoder_hidden
         terms = [
-            (p["dec_W_emb"], ad.row(p["act_emb"], prev_action_id)),
+            (p["dec_W_emb"], ad.gather(p["act_emb"], prev_action_id)),
             (p["dec_W_ctx"], context),
             (p["dec_Wh"], h),
         ]
         if self.config.uses_world:
             w = ad.constant(world.concat().astype(self.config.np_dtype()))
             terms.insert(2, (p["dec_W_world"], w))
-        h2, c2 = _lstm_step(terms, p["dec_b"], c, Hd)
+        h2, c2 = ad.lstm_cell(terms, p["dec_b"], c)
         out_in = self._dropout(h2, dropout_rng) if dropout_rng is not None else h2
         logits = ad.add(ad.mv(p["out_W"], out_in), p["out_b"])
         return logits, h2, c2
@@ -397,14 +383,3 @@ class NavigationModel:
             t.data[...] = archive[f"param/{k}"]
         return model
 
-
-def _lstm_step(terms, bias, c_prev, hidden):
-    """One LSTM cell update from weighted input terms; gate order i,f,g,o."""
-    z = ad.add_n([ad.mv(W, x) for W, x in terms] + [bias])
-    i = ad.sigmoid(ad.slice1(z, 0, hidden))
-    f = ad.sigmoid(ad.slice1(z, hidden, 2 * hidden))
-    g = ad.tanh(ad.slice1(z, 2 * hidden, 3 * hidden))
-    o = ad.sigmoid(ad.slice1(z, 3 * hidden, 4 * hidden))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c

@@ -76,7 +76,7 @@ class Example:
 
 
 class Adam:
-    """Adaptive-moment estimation over a fixed tensor list."""
+    """Adaptive-moment estimation over a fixed tensor list, updated in place."""
 
     def __init__(self, tensors, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.tensors = list(tensors)
@@ -84,19 +84,34 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(t.data) for t in self.tensors]
         self.v = [np.zeros_like(t.data) for t in self.tensors]
+        # two scratch buffers sized for the largest tensor, viewed per tensor
+        size = max(t.data.size for t in self.tensors)
+        self._scratch = [np.empty(size, self.tensors[0].data.dtype) for _ in range(2)]
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.tensors):
+        for p, m, v in zip(self.tensors, self.m, self.v):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / b1c
-            v_hat = self.v[i] / b2c
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            a, b = (s[: g.size].reshape(g.shape) for s in self._scratch)
+            # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+            # p -= lr (m / b1c) / (sqrt(v / b2c) + eps)
+            np.divide(v, b2c, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, b1c, out=b)
+            b *= self.lr
+            b /= a
+            p.data -= b
 
 
 def instruction_tokens(instr: Instruction, config: ModelConfig) -> tuple[str, ...]:

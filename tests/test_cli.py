@@ -171,6 +171,24 @@ def test_removed_flags_and_commands_are_rejected(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_urbanav_seed_fails_only_where_read(data_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("URBANAV_SEED", "x")
+    assert main(["stats", "--data", str(data_dir)]) == 0
+    code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.npz")])
+    assert code == 1
+    assert "error: URBANAV_SEED must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
+
+
+def test_urbanav_seed_is_the_seed_default(tmp_path, data_dir, monkeypatch):
+    monkeypatch.setenv("URBANAV_SEED", "3")
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(TINY_SYNTH)
+    out = tmp_path / "env"
+    assert main(["synth", "--out", str(out), "--config", str(cfg)]) == 0
+    assert (out / "corpus.txt").read_bytes() == (data_dir / "corpus.txt").read_bytes()
+
+
 def test_train_and_evaluate_model(data_dir, tmp_path, capsys):
     cfg = tmp_path / "model.cfg"
     cfg.write_text(TINY_MODEL)

@@ -15,7 +15,7 @@ from urbanav.model import (
     NavigationModel,
     length_penalty,
 )
-from urbanav.training import EpochLog, build_example, kept_epoch, train
+from urbanav.training import Adam, EpochLog, build_example, kept_epoch, train
 from urbanav.worldstate import WorldState, WorldStateLayout, compute as compute_world
 
 from conftest import plus_map, straight_map
@@ -173,7 +173,7 @@ def test_zero_output_projection_gives_uniform():
 
 
 def test_ablation_nesting_cgaew_with_zero_world_equals_cga():
-    """Zeroed world blocks collapse CGAEW's forward pass onto CGA exactly."""
+    """Zeroed world blocks collapse CGAEW onto CGA bit for bit."""
     cga = tiny_model("CGA")
     cgaew = tiny_model("CGAEW")
     cgaew.params["att_Ww"].data[...] = 0.0
@@ -181,17 +181,26 @@ def test_ablation_nesting_cgaew_with_zero_world_equals_cga():
     token_ids = VOCAB.encode(["walk", "until", "you", "reach", "<SHOP_1>"])
     action_ids = [ACTION_IDS[Action.WALK]] * 3 + [ACTION_IDS[Action.END]]
     worlds = [dummy_world() for _ in action_ids]
-    with ad.no_grad():
-        loss_cga = cga.sentence_loss(token_ids, action_ids, None)
-        loss_cgaew = cgaew.sentence_loss(token_ids, action_ids, worlds)
-    assert abs(loss_cga.data - loss_cgaew.data) < 1e-9
+    loss_cga = cga.sentence_loss(token_ids, action_ids, None)
+    loss_cgaew = cgaew.sentence_loss(token_ids, action_ids, worlds)
+    assert loss_cga.data == loss_cgaew.data
+    ad.backward(loss_cga)
+    ad.backward(loss_cgaew)
+    for name, t in cga.params.items():
+        assert np.array_equal(t.grad, cgaew.params[name].grad), name
 
-    grid = straight_map()
-    p0 = Pose(1, 0, 1)
-    a1 = cga.beam_search(["walk", "until"], p0, grid, (), beam_width=1)
-    a2 = cgaew.beam_search(["walk", "until"], p0, grid, (), beam_width=1)
+    # favour WALK over END so the width-4 beam decodes more than END
+    for model in (cga, cgaew):
+        model.params["out_b"].data[[ACTION_IDS[Action.WALK], END_ID]] = (3.0, -1.0)
+    grid = plus_map()
+    p0 = Pose(2, 0, 1)
+    tokens = ["walk", "until", "you", "reach", "<SHOP_1>"]
+    bindings = (("<SHOP_1>", 10),)
+    a1 = cga.beam_search(tokens, p0, grid, bindings, beam_width=4)
+    a2 = cgaew.beam_search(tokens, p0, grid, bindings, beam_width=4)
+    assert len(a1.actions) > 1
     assert a1.actions == a2.actions
-    assert a1.score == pytest.approx(a2.score, abs=1e-9)
+    assert a1.score == a2.score
 
 
 # -- beam search ------------------------------------------------------------------
@@ -360,6 +369,30 @@ def test_parameters_stay_finite_after_steps(synth_small):
                          decoder_hidden=8, epochs=1, seed=2)
     model, _ = train(pairs[:8], pairs[8:], config)
     assert model.params.all_finite()
+
+
+def test_adam_updates_in_place_and_matches_reference():
+    rng = np.random.default_rng(4)
+    tensors = [ad.parameter(rng.normal(size=s).astype(np.float32)) for s in ((3, 4), (5,))]
+    ref = [t.data.copy() for t in tensors]
+    ref_m = [np.zeros_like(r) for r in ref]
+    ref_v = [np.zeros_like(r) for r in ref]
+    opt = Adam(tensors, lr=0.01)
+    buffers = [id(t.data) for t in tensors] + [id(a) for a in opt.m + opt.v]
+    for step in range(1, 4):
+        for t in tensors:
+            t.grad[...] = rng.normal(size=t.data.shape)
+        opt.step()
+        for i, t in enumerate(tensors):  # the textbook update, one expression per line
+            g = t.grad
+            ref_m[i] = 0.9 * ref_m[i] + (1.0 - 0.9) * g
+            ref_v[i] = 0.999 * ref_v[i] + (1.0 - 0.999) * g * g
+            m_hat = ref_m[i] / (1.0 - 0.9**step)
+            v_hat = ref_v[i] / (1.0 - 0.999**step)
+            ref[i] -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(t.data, ref[i])
+            assert t.data.dtype == np.float32
+    assert [id(t.data) for t in tensors] + [id(a) for a in opt.m + opt.v] == buffers
 
 
 # -- model selection on validation NLL ----------------------------------------------
