@@ -49,10 +49,6 @@ def is_ordered_subsequence(pred_tiles, gold_tiles) -> bool:
     return all(tile in it for tile in pred_tiles)
 
 
-def route_final_bearing(grid: GridMap, route: Route) -> float:
-    return pose_bearing(grid, route.final_pose)
-
-
 def sentence_success(grid: GridMap, pred: Route, gold: Route, cfg: SuccessPredicateConfig) -> bool:
     if not is_ordered_subsequence(pred.tiles, gold.tiles):
         return False
@@ -60,7 +56,7 @@ def sentence_success(grid: GridMap, pred: Route, gold: Route, cfg: SuccessPredic
         return False
     if cfg.check_heading:
         delta = angular_distance_deg(
-            route_final_bearing(grid, pred), route_final_bearing(grid, gold)
+            pose_bearing(grid, pred.final_pose), pose_bearing(grid, gold.final_pose)
         )
         if delta > cfg.heading_tolerance_deg:
             return False

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .abstraction import Vocabulary
 from .executor import Action, ExecutorError, Pose, step
 from .worldmap import GridMap
-from .worldstate import WorldState, WorldStateLayout, compute as compute_world
+from .worldstate import WorldStateLayout, compute as compute_world
 
 VARIANTS = ("CGA", "CGAE", "CGAEW")
 
@@ -195,15 +195,18 @@ class NavigationModel:
 
     # -- attention -------------------------------------------------------------
 
-    def attend(self, states, proj, dec_state, world: WorldState | None):
-        """Additive attention; returns (context node, weights array)."""
+    def attend(self, states, proj, dec_state, world: ad.Tensor | None):
+        """Additive attention; returns (context node, weights array).
+
+        ``world`` is the step's here||ahead vector as a constant node (CGAEW
+        only); the decoder step takes the same node.
+        """
         p = self.params
         u = ad.vm(dec_state, p["att_Ws"])
         if self.config.uses_world:
             if world is None:
                 raise ValueError("CGAEW attention needs a world state")
-            w = ad.constant(world.concat().astype(self.config.np_dtype()))
-            u = ad.add(u, ad.vm(w, p["att_Ww"]))
+            u = ad.add(u, ad.vm(world, p["att_Ww"]))
         scores = ad.mv(ad.tanh(ad.add_rowvec(proj, u)), p["att_v"])
         weights = ad.softmax(scores)
         context = ad.vm(weights, states)
@@ -226,8 +229,7 @@ class NavigationModel:
             (p["dec_Wh"], h),
         ]
         if self.config.uses_world:
-            w = ad.constant(world.concat().astype(self.config.np_dtype()))
-            terms.insert(2, (p["dec_W_world"], w))
+            terms.insert(2, (p["dec_W_world"], world))
         h2, c2 = ad.lstm_cell(terms, p["dec_b"], c)
         out_in = self._dropout(h2, dropout_rng) if dropout_rng is not None else h2
         logits = ad.add(ad.mv(p["out_W"], out_in), p["out_b"])
@@ -235,8 +237,12 @@ class NavigationModel:
 
     # -- training loss ------------------------------------------------------------
 
-    def sentence_loss(self, token_ids, action_ids, world_states, dropout_rng=None) -> ad.Tensor:
-        """Mean teacher-forced negative log-likelihood over one action string."""
+    def sentence_loss(self, token_ids, action_ids, worlds, dropout_rng=None) -> ad.Tensor:
+        """Mean teacher-forced negative log-likelihood over one action string.
+
+        ``worlds`` holds the world vector before each gold action (see
+        ``world_vector``); CGA and CGAE ignore it.
+        """
         dtype = self.config.np_dtype()
         Hd = self.config.decoder_hidden
         states, proj = self.encode(token_ids, dropout_rng)
@@ -245,7 +251,7 @@ class NavigationModel:
         prev = END_ID  # start marker shares END's embedding
         losses = []
         for t, action_id in enumerate(action_ids):
-            world = world_states[t] if self.config.uses_world else None
+            world = ad.constant(worlds[t]) if self.config.uses_world else None
             context, _ = self.attend(states, proj, h, world)
             logits, h, c = self._decoder_step(prev, h, c, context, world, dropout_rng)
             losses.append(ad.nll(logits, action_id))
@@ -283,21 +289,20 @@ class NavigationModel:
                     result = greedy
         return result
 
-    def _world_at(self, pose: Pose, grid: GridMap, bindings) -> WorldState | None:
+    def world_vector(self, grid: GridMap, pose: Pose, bindings) -> np.ndarray | None:
+        """The here||ahead world vector at ``pose`` in the model dtype; None for CGA/CGAE."""
         if not self.config.uses_world:
             return None
         return compute_world(
             grid, pose, bindings, self.layout,
             horizon=self.config.horizon, radius=self.config.radius,
             dtype=self.config.np_dtype(),
-        )
+        ).concat()
 
     def _beam(self, encoded, p0, grid, bindings, width) -> BeamResult:
         cfg = self.config
         states, proj = encoded
-        dtype = cfg.np_dtype()
-        Hd = cfg.decoder_hidden
-        zeros = np.zeros(Hd, dtype=dtype)
+        zeros = ad.constant(np.zeros(cfg.decoder_hidden, dtype=cfg.np_dtype()))
         # hypothesis: (logp, actions, pose, h, c, prev_id)
         live = [(0.0, [], p0, zeros, zeros, END_ID)]
         completed: list[tuple[float, list[Action]]] = []
@@ -306,11 +311,11 @@ class NavigationModel:
             max_live = max(max_live, len(live))
             expansions = []
             for logp, actions, pose, h, c, prev in live:
-                world = self._world_at(pose, grid, bindings)
-                context, _ = self.attend(states, proj, ad.constant(h), world)
-                logits, h2, c2 = self._decoder_step(
-                    prev, ad.constant(h), ad.constant(c), context, world, None
-                )
+                world = self.world_vector(grid, pose, bindings)
+                if world is not None:
+                    world = ad.constant(world)
+                context, _ = self.attend(states, proj, h, world)
+                logits, h2, c2 = self._decoder_step(prev, h, c, context, world, None)
                 logps = ad.log_probs(logits)
                 # executor failures prune the expansion; END always survives
                 order = (END_ID,) if t == cfg.max_decode_len - 1 else range(len(ACTIONS))
@@ -325,7 +330,7 @@ class NavigationModel:
                     except ExecutorError:
                         continue
                     expansions.append(
-                        (cand_logp, actions + [action], pose2, h2.data, c2.data, a_id)
+                        (cand_logp, actions + [action], pose2, h2, c2, a_id)
                     )
             expansions.sort(key=lambda e: -e[0])
             live = []
@@ -380,6 +385,16 @@ class NavigationModel:
             )
         model = cls(config, vocab, layout)
         for k, t in model.params.items():
-            t.data[...] = archive[f"param/{k}"]
+            key = f"param/{k}"
+            if key not in archive:
+                raise ValueError(
+                    f"{path}: checkpoint has no array {key!r} (expected shape {t.data.shape})"
+                )
+            value = archive[key]
+            if value.shape != t.data.shape:
+                raise ValueError(
+                    f"{path}: array {key!r} has shape {value.shape}, expected {t.data.shape}"
+                )
+            t.data[...] = value
         return model
 

@@ -242,9 +242,9 @@ def _scan_targets(grid: GridMap, pose: Pose, lo: int, hi: int):
     scan = [street.tiles[pose.index + pose.travel_dir * k] for k in range(0, hi + 1)]
     first: dict[int, int] = {}
     for name, gid, _etype in grid.named_groundings():
-        tiles = grid.grounding_tiles(gid)
+        near = grid.tiles_within(gid, 1)
         for k, t in enumerate(scan):
-            if any(chebyshev(t, f) <= 1 for f in tiles):
+            if t in near:
                 first[gid] = k
                 break
     return [(k, gid) for gid, k in sorted(first.items()) if lo <= k <= hi]
@@ -387,7 +387,7 @@ class _SentencePlanner:
             gid
             for _, gid, _ in self.grid.named_groundings()
             if self.grid.grounding_type(gid) != "street"
-            and any(chebyshev(here, f) <= 1 for f in self.grid.grounding_tiles(gid))
+            and here in self.grid.tiles_within(gid, 1)
         ]
         if not nearby:
             return None

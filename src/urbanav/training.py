@@ -2,14 +2,13 @@
 
 Training is teacher-forced negative log-likelihood with adaptive-moment
 updates, one example per step, fully seeded and single-threaded so a fixed
-seed reproduces the parameter trajectory bit for bit. World states along
+seed reproduces the parameter trajectory bit for bit. World vectors along
 the gold prefix are precomputed per example (gold actions are replayed
 through the executor once at example-build time).
 
 Model selection and early stopping use the mean teacher-forced NLL over the
 validation examples: the training objective measured on held-out data,
-independent of the decoder. Greedy validation accuracy is logged alongside
-as a diagnostic only.
+independent of the decoder.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ import numpy as np
 from . import autodiff as ad
 from .abstraction import Vocabulary, vocabulary
 from .corpus import Instruction
-from .evaluator import SuccessPredicateConfig, sentence_success
-from .executor import Action, Pose, Route, execute_lenient, step
+from .executor import Action, Pose, step
 from .model import ACTION_IDS, ModelConfig, NavigationModel
 from .worldmap import GridMap
-from .worldstate import WorldState, WorldStateLayout, compute as compute_world
+from .worldstate import WorldStateLayout
 
 
 class TrainingDiverged(RuntimeError):
@@ -40,16 +38,14 @@ class TrainingDiverged(RuntimeError):
 class EpochLog:
     epoch: int
     train_nll: float
-    val_accuracy: float
     val_nll: float
 
     @staticmethod
     def csv_header() -> str:
-        return "epoch,train_nll,val_accuracy,val_nll"
+        return "epoch,train_nll,val_nll"
 
     def csv_row(self) -> str:
-        return (f"{self.epoch},{self.train_nll:.6f},{self.val_accuracy:.6f},"
-                f"{self.val_nll:.6f}")
+        return f"{self.epoch},{self.train_nll:.6f},{self.val_nll:.6f}"
 
 
 def kept_epoch(logs: list[EpochLog]) -> int:
@@ -66,13 +62,11 @@ def kept_epoch(logs: list[EpochLog]) -> int:
 
 @dataclass
 class Example:
-    map_id: str
-    tokens: tuple[str, ...]
+    """What ``sentence_loss`` reads for one training sentence."""
+
+    token_ids: list[int]
     action_ids: list[int]
-    p0: Pose
-    bindings: tuple
-    gold_route: Route
-    world_states: list[WorldState] | None
+    worlds: list[np.ndarray] | None
 
 
 class Adam:
@@ -124,54 +118,39 @@ def build_vocabulary(instructions, config: ModelConfig) -> Vocabulary:
     )
 
 
-def build_example(
-    instr: Instruction, grid: GridMap, config: ModelConfig, layout: WorldStateLayout | None
-) -> Example:
-    worlds = None
-    if config.uses_world:
-        worlds = []
-        pose = instr.start
-        for action in instr.actions:
-            worlds.append(
-                compute_world(
-                    grid, pose, instr.bindings, layout,
-                    horizon=config.horizon, radius=config.radius,
-                    dtype=config.np_dtype(),
-                )
-            )
-            if action is not Action.END:
-                pose = step(grid, pose, action)
+def gold_worlds(
+    model: NavigationModel, grid: GridMap, pose: Pose, actions, bindings
+) -> list[np.ndarray] | None:
+    """The world vector before each gold action, replaying ``actions`` from ``pose``.
+
+    None for variants without a world state.
+    """
+    if not model.config.uses_world:
+        return None
+    worlds = []
+    for action in actions:
+        worlds.append(model.world_vector(grid, pose, bindings))
+        if action is not Action.END:
+            pose = step(grid, pose, action)
+    return worlds
+
+
+def build_example(instr: Instruction, grid: GridMap, model: NavigationModel) -> Example:
     return Example(
-        map_id=grid.id,
-        tokens=instruction_tokens(instr, config),
+        token_ids=model.vocab.encode(instruction_tokens(instr, model.config)),
         action_ids=[ACTION_IDS[a] for a in instr.actions],
-        p0=instr.start,
-        bindings=instr.bindings,
-        gold_route=instr.route,
-        world_states=worlds,
+        worlds=gold_worlds(model, grid, instr.start, instr.actions, instr.bindings),
     )
 
 
-def _greedy_accuracy(model, examples, maps, predicate: SuccessPredicateConfig) -> float:
-    if not examples:
-        return math.nan
-    hits = 0
-    for ex in examples:
-        grid = maps[ex.map_id]
-        actions = model.beam_search(ex.tokens, ex.p0, grid, ex.bindings, beam_width=1).actions
-        route = execute_lenient(grid, ex.p0, actions)
-        hits += sentence_success(grid, route, ex.gold_route, predicate)
-    return hits / len(examples)
-
-
-def _mean_nll(model, examples, token_ids) -> float:
+def _mean_nll(model, examples) -> float:
     """Mean per-sentence teacher-forced NLL without dropout; NaN if empty."""
     if not examples:
         return math.nan
     with ad.no_grad():
         total = sum(
-            float(model.sentence_loss(ids, ex.action_ids, ex.world_states).data)
-            for ex, ids in zip(examples, token_ids)
+            float(model.sentence_loss(ex.token_ids, ex.action_ids, ex.worlds).data)
+            for ex in examples
         )
     return total / len(examples)
 
@@ -196,16 +175,12 @@ def train(
     if vocab is None:
         vocab = build_vocabulary([i for i, _ in train_instructions], config)
     model = NavigationModel(config, vocab, layout)
-    maps = {g.id: g for _, g in train_instructions + val_instructions}
-    train_ex = [build_example(i, g, config, layout) for i, g in train_instructions]
-    val_ex = [build_example(i, g, config, layout) for i, g in val_instructions]
-    token_ids = {id(ex): vocab.encode(ex.tokens) for ex in train_ex}
-    val_token_ids = [vocab.encode(ex.tokens) for ex in val_ex]
+    train_ex = [build_example(i, g, model) for i, g in train_instructions]
+    val_ex = [build_example(i, g, model) for i, g in val_instructions]
 
     shuffle_rng = np.random.default_rng([config.seed, 0x51])
     dropout_rng = np.random.default_rng([config.seed, 0xD0])
     optimizer = Adam(model.params.tensors.values(), lr=config.learning_rate)
-    predicate = SuccessPredicateConfig()
 
     logs: list[EpochLog] = []
     best_values = model.params.snapshot()
@@ -215,9 +190,7 @@ def train(
         total = 0.0
         for n, idx in enumerate(order):
             ex = train_ex[idx]
-            loss = model.sentence_loss(
-                token_ids[id(ex)], ex.action_ids, ex.world_states, dropout_rng
-            )
+            loss = model.sentence_loss(ex.token_ids, ex.action_ids, ex.worlds, dropout_rng)
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(epoch, int(idx))
             model.params.zero_grads()
@@ -226,12 +199,7 @@ def train(
             if not model.params.all_finite():
                 raise TrainingDiverged(epoch, int(idx))
             total += float(loss.data)
-        logs.append(EpochLog(
-            epoch,
-            total / max(1, len(train_ex)),
-            _greedy_accuracy(model, val_ex, maps, predicate),
-            _mean_nll(model, val_ex, val_token_ids),
-        ))
+        logs.append(EpochLog(epoch, total / max(1, len(train_ex)), _mean_nll(model, val_ex)))
         kept = kept_epoch(logs)
         if kept == epoch:
             best_values = model.params.snapshot()
@@ -327,7 +295,7 @@ class VariantPolicyFactory:
         return ModelPolicy(replace(self.config, seed=seed))
 
 
-def _gradcheck_fixture(config: ModelConfig):
+def _gradcheck_fixture():
     """Tiny deterministic map + example exercising the full CGAEW graph."""
     from .worldmap import Entity, Street, TileCoord
 
@@ -353,35 +321,24 @@ def _gradcheck_fixture(config: ModelConfig):
     )
     tokens = ("walk", "until", "you", "reach", "<SHOP_1>", ".")
     vocab = vocabulary([tokens + ("turn", "left", "right")], min_count=1)
-    instr_bindings = (("<SHOP_1>", 3),)
+    bindings = (("<SHOP_1>", 3),)
     p0 = Pose(street_id=1, index=0, travel_dir=1)
     actions = [Action.WALK, Action.WALK, Action.WALK, Action.WALK, Action.END]
-    worlds = []
-    pose = p0
-    for action in actions:
-        worlds.append(
-            compute_world(grid, pose, instr_bindings, layout, horizon=3, radius=1,
-                          dtype=config.np_dtype())
-        )
-        if action is not Action.END:
-            pose = step(grid, pose, action)
-    return vocab, layout, tokens, actions, worlds
+    return grid, vocab, layout, tokens, bindings, p0, actions
 
 
-def gradient_check(
-    config: ModelConfig | None = None, seed: int = 0, corrupt_rule: str | None = None
-) -> float:
+def gradient_check(seed: int = 0, corrupt_rule: str | None = None) -> float:
     """Full-graph gradient check on a tiny 64-bit model; returns max rel error."""
-    if config is None:
-        config = ModelConfig(
-            variant="CGAEW", embed_dim=6, encoder_hidden=8, decoder_hidden=8,
-            dropout_keep=1.0, seed=seed, horizon=3, radius=1, slots_per_type=2,
-            dtype="float64",
-        )
-    vocab, layout, tokens, actions, worlds = _gradcheck_fixture(config)
+    config = ModelConfig(
+        variant="CGAEW", embed_dim=6, encoder_hidden=8, decoder_hidden=8,
+        dropout_keep=1.0, seed=seed, horizon=3, radius=1, slots_per_type=2,
+        dtype="float64",
+    )
+    grid, vocab, layout, tokens, bindings, p0, actions = _gradcheck_fixture()
     model = NavigationModel(config, vocab, layout)
     token_ids = vocab.encode(tokens)
     action_ids = [ACTION_IDS[a] for a in actions]
+    worlds = gold_worlds(model, grid, p0, actions, bindings)
 
     def build_loss():
         return model.sentence_loss(token_ids, action_ids, worlds, dropout_rng=None)

@@ -200,7 +200,7 @@ def test_train_and_evaluate_model(data_dir, tmp_path, capsys):
     assert code == 0
     assert ckpt.exists()
     lines = log.read_text().splitlines()
-    assert lines[0] == "epoch,train_nll,val_accuracy,val_nll"
+    assert lines[0] == "epoch,train_nll,val_nll"
     assert len(lines) == 2  # one epoch
 
     from urbanav.model import NavigationModel

@@ -16,7 +16,7 @@ from urbanav.model import (
     length_penalty,
 )
 from urbanav.training import Adam, EpochLog, build_example, kept_epoch, train
-from urbanav.worldstate import WorldState, WorldStateLayout, compute as compute_world
+from urbanav.worldstate import WorldStateLayout, compute as compute_world
 
 from conftest import plus_map, straight_map
 
@@ -37,12 +37,12 @@ def tiny_model(variant="CGAEW", seed=3) -> NavigationModel:
     return NavigationModel(config, VOCAB, LAYOUT if variant == "CGAEW" else None)
 
 
-def dummy_world() -> WorldState:
-    here = np.zeros(LAYOUT.width)
-    ahead = np.zeros(LAYOUT.width)
-    here[1] = 1.0
-    ahead[LAYOUT.slot_index("<SHOP_1>")] = 1.0
-    return WorldState(here, ahead)
+def dummy_world() -> np.ndarray:
+    """A here||ahead world vector: a shop nearby, <SHOP_1> on the path ahead."""
+    world = np.zeros(2 * LAYOUT.width)
+    world[1] = 1.0
+    world[LAYOUT.width + LAYOUT.slot_index("<SHOP_1>")] = 1.0
+    return world
 
 
 # -- encoder ------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_attention_singleton_weight_is_one():
     with ad.no_grad():
         states, proj = model.encode([3])
         s = ad.constant(np.zeros(8))
-        _, weights = model.attend(states, proj, s, dummy_world())
+        _, weights = model.attend(states, proj, s, ad.constant(dummy_world()))
     assert weights.shape == (1,)
     assert weights[0] == pytest.approx(1.0)
 
@@ -125,7 +125,7 @@ def test_attention_weights_sum_to_one():
         states, proj = model.encode(VOCAB.encode(["walk", "until", "you", "reach"]))
         for _ in range(5):
             s = ad.constant(rng.normal(size=8))
-            _, weights = model.attend(states, proj, s, dummy_world())
+            _, weights = model.attend(states, proj, s, ad.constant(dummy_world()))
             assert weights.sum() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -139,7 +139,7 @@ def test_cgaew_attention_with_zero_world_weights_equals_cgae():
         st1, pr1 = cgae.encode(token_ids)
         st2, pr2 = cgaew.encode(token_ids)
         c1, w1 = cgae.attend(st1, pr1, ad.constant(s_vec), None)
-        c2, w2 = cgaew.attend(st2, pr2, ad.constant(s_vec), dummy_world())
+        c2, w2 = cgaew.attend(st2, pr2, ad.constant(s_vec), ad.constant(dummy_world()))
     assert np.array_equal(w1, w2)
     assert np.array_equal(c1.data, c2.data)
 
@@ -150,10 +150,11 @@ def test_cgaew_attention_with_zero_world_weights_equals_cgae():
 def first_step_probs(model, token_ids):
     """Action distribution and state after the first decoder step."""
     zeros = ad.constant(np.zeros(8))
+    world = ad.constant(dummy_world())
     with ad.no_grad():
         states, proj = model.encode(token_ids)
-        ctx, _ = model.attend(states, proj, zeros, dummy_world())
-        logits, h, c = model._decoder_step(END_ID, zeros, zeros, ctx, dummy_world(), None)
+        ctx, _ = model.attend(states, proj, zeros, world)
+        logits, h, c = model._decoder_step(END_ID, zeros, zeros, ctx, world, None)
         return ad.softmax(logits).data, h.data
 
 
@@ -230,7 +231,8 @@ def test_beam_width_one_is_greedy():
     from urbanav.executor import ExecutorError, step as exec_step
 
     for _ in range(model.config.max_decode_len):
-        world = compute_world(grid, pose, bindings, LAYOUT, horizon=4, radius=1, dtype=np.float64)
+        world = ad.constant(compute_world(grid, pose, bindings, LAYOUT, horizon=4, radius=1,
+                                          dtype=np.float64).concat())
         with ad.no_grad():
             ctx, _ = model.attend(states, proj, h, world)
             logits, h, c = model._decoder_step(ACTION_IDS[prev], h, c, ctx, world, None)
@@ -314,6 +316,32 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         NavigationModel.load(path)
 
 
+def _edited_checkpoint(tmp_path, edit):
+    """A saved tiny model whose arrays ``edit`` changes in place; returns the new path."""
+    tiny_model().save(tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as archive:
+        arrays = dict(archive)
+    edit(arrays)
+    path = tmp_path / "edited.npz"
+    np.savez(path, **arrays)
+    return path
+
+
+def test_checkpoint_rejects_misshaped_array(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda a: a.update({"param/out_b": np.full(1, 0.5)}))
+    with pytest.raises(ValueError, match=r"param/out_b.*shape \(1,\), expected \(5,\)") as err:
+        NavigationModel.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_rejects_missing_array(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda a: a.pop("param/out_W"))
+    expected = r"no array 'param/out_W' \(expected shape \(5, 8\)\)"
+    with pytest.raises(ValueError, match=expected) as err:
+        NavigationModel.load(path)
+    assert str(path) in str(err.value)
+
+
 # -- training ---------------------------------------------------------------------
 
 
@@ -362,6 +390,22 @@ def test_training_is_bit_deterministic(synth_small):
         assert np.array_equal(t.data, m2.params[k].data)
 
 
+def test_training_never_decodes(synth_small, monkeypatch):
+    """Training and model selection read teacher-forced losses only."""
+    maps, corpus = synth_small
+    pairs = _one_example_pairs(corpus, maps, n=10)
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("train() called beam_search")
+
+    monkeypatch.setattr(NavigationModel, "beam_search", no_decode)
+    config = ModelConfig(variant="CGAEW", embed_dim=8, encoder_hidden=8,
+                         decoder_hidden=8, epochs=2, seed=2)
+    _, logs = train(pairs[:8], pairs[8:], config)
+    assert [row.epoch for row in logs] == [1, 2]
+    assert all(np.isfinite(row.val_nll) for row in logs)
+
+
 def test_parameters_stay_finite_after_steps(synth_small):
     maps, corpus = synth_small
     pairs = _one_example_pairs(corpus, maps, n=10)
@@ -407,18 +451,17 @@ def validation_nll(model, pairs) -> float:
     total = 0.0
     with ad.no_grad():
         for instr, grid in pairs:
-            ex = build_example(instr, grid, model.config, model.layout)
-            loss = model.sentence_loss(model.vocab.encode(ex.tokens), ex.action_ids,
-                                       ex.world_states)
+            ex = build_example(instr, grid, model)
+            loss = model.sentence_loss(ex.token_ids, ex.action_ids, ex.worlds)
             total += float(loss.data)
     return total / len(pairs)
 
 
 def test_kept_epoch_is_earliest_minimum_of_val_nll():
-    rows = [EpochLog(1, 1.0, 0.2, 0.9), EpochLog(2, 0.8, 0.5, 0.4),
-            EpochLog(3, 0.7, 0.1, 0.6), EpochLog(4, 0.6, 0.9, 0.4)]
+    rows = [EpochLog(1, 1.0, 0.9), EpochLog(2, 0.8, 0.4),
+            EpochLog(3, 0.7, 0.6), EpochLog(4, 0.6, 0.4)]
     assert kept_epoch(rows) == 2
-    no_val = [EpochLog(e, 1.0 / e, math.nan, math.nan) for e in (1, 2, 3)]
+    no_val = [EpochLog(e, 1.0 / e, math.nan) for e in (1, 2, 3)]
     assert kept_epoch(no_val) == 3
 
 
@@ -448,7 +491,7 @@ def test_empty_validation_runs_every_epoch_and_keeps_final_weights(synth_small):
                          epochs=4, learning_rate=0.02, early_stop_patience=1, seed=0)
     model, logs = train(pairs[:8], [], config)
     assert [row.epoch for row in logs] == [1, 2, 3, 4]
-    assert all(math.isnan(row.val_nll) and math.isnan(row.val_accuracy) for row in logs)
+    assert all(math.isnan(row.val_nll) for row in logs)
     # the validation pass draws no randomness, so the same run with a
     # validation split logs the NLL the final weights give
     _, scored = train(pairs[:8], pairs[8:], replace(config, early_stop_patience=0))
