@@ -238,13 +238,13 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 
 def _lstm_step(z: np.ndarray, c_prev: np.ndarray):
-    """(gate activations, c, tanh(c), h) of one step."""
-    n = c_prev.shape[0]
+    """(gate activations, c, tanh(c), h) of one step; ``z`` may hold one step per row."""
+    n = c_prev.shape[-1]
     acts = 1.0 / (1.0 + np.exp(-z))
-    acts[2 * n : 3 * n] = np.tanh(z[2 * n : 3 * n])
-    c = acts[n : 2 * n] * c_prev + acts[:n] * acts[2 * n : 3 * n]
+    acts[..., 2 * n : 3 * n] = np.tanh(z[..., 2 * n : 3 * n])
+    c = acts[..., n : 2 * n] * c_prev + acts[..., :n] * acts[..., 2 * n : 3 * n]
     tanh_c = np.tanh(c)
-    return acts, c, tanh_c, acts[3 * n :] * tanh_c
+    return acts, c, tanh_c, acts[..., 3 * n :] * tanh_c
 
 
 def _lstm_step_grads(acts, c_prev, tanh_c, dh, dc):
@@ -349,12 +349,6 @@ def nll(logits: Tensor, target: int) -> Tensor:
         _acc(logits, g * p)
 
     return _make(out_data, (logits,), bw, "nll")
-
-
-def log_probs(logits: Tensor) -> np.ndarray:
-    """Log-softmax of raw logits data; plain numpy, no graph."""
-    z = logits.data - logits.data.max()
-    return z - np.log(np.exp(z).sum())
 
 
 # -- backward pass ------------------------------------------------------------------

@@ -24,7 +24,8 @@ from .worldmap import TileCoord
 
 CORPUS_VERSION = 1
 
-_POSE_RE = re.compile(r"^\((-?\d+),(-?\d+),([+-]?1)\)$")
+# (street id, index, direction); an index is never negative
+_POSE_RE = re.compile(r"^\((-?\d+),(\d+),([+-]?1)\)$")
 _TILE_RE = re.compile(r"^\((\d+),(\d+)\)$")
 
 
@@ -75,7 +76,9 @@ def _format_pose(pose: Pose) -> str:
 def _parse_pose(text: str, where: str) -> Pose:
     m = _POSE_RE.match(text)
     if not m:
-        raise CorpusFormatError(f"{where}: bad pose {text!r}")
+        raise CorpusFormatError(
+            f"{where}: bad pose {text!r}, expected (street_id,index,+1|-1) with index >= 0"
+        )
     return Pose(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
@@ -160,7 +163,11 @@ def parse_corpus(text: str, source: str = "<string>") -> Corpus:
                     fail(f"bad route tile {t!r}")
                 tiles.append(TileCoord(int(mt.group(1)), int(mt.group(2))))
             final = _parse_pose(m2.group(2), f"{source}:{pos}")
-            actions = tuple(parse_actions(expect("ACTIONS")))
+            actions_raw = expect("ACTIONS")
+            try:
+                actions = tuple(parse_actions(actions_raw))
+            except ValueError as err:
+                fail(str(err))
             instructions.append(
                 Instruction(
                     text=text_line,

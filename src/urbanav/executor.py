@@ -7,6 +7,11 @@ END terminates a route. A TURN never moves; a WALK moves by exactly one
 8-neighbor step. Angles are compass degrees, clockwise positive, so
 TURN_RIGHT targets +90 and TURN_LEFT targets -90.
 
+Every move goes through ``successor``, which reads the map's lazy pose
+table: each (pose, action) pair is worked out once per map, on first use,
+and every later ``step``, beam expansion, JUMP move, synth plan and
+``route_to_actions`` call on that pair is one dictionary lookup.
+
 Also provides the inverse oracle ``route_to_actions`` that recovers a
 minimal action string from a pinned tile route, used to derive training
 supervision.
@@ -70,6 +75,10 @@ class InvalidTurn(ExecutorError):
     """No street continuation within the acceptance window of the target angle."""
 
 
+class InvalidPose(ExecutorError):
+    """The pose names no tile of the map: unknown street, index off the street, or bad direction."""
+
+
 class ExecutionError(Exception):
     """An action string failed mid-route; carries what executed so far."""
 
@@ -93,11 +102,8 @@ def pose_tile(grid: GridMap, pose: Pose) -> TileCoord:
 
 
 def walk_successor(grid: GridMap, pose: Pose) -> TileCoord | None:
-    street = grid.street(pose.street_id)
-    j = pose.index + pose.travel_dir
-    if 0 <= j < len(street.tiles):
-        return street.tiles[j]
-    return None
+    nxt = successor(grid, pose, Action.WALK)
+    return None if nxt is None else pose_tile(grid, nxt)
 
 
 def pose_bearing(grid: GridMap, pose: Pose) -> float:
@@ -125,8 +131,8 @@ def _turn_candidates(grid: GridMap, pose: Pose) -> list[tuple[float, Pose]]:
     return out
 
 
-def _select_turn(grid: GridMap, pose: Pose, action: Action) -> tuple[Pose, float]:
-    """Best continuation for a TURN; returns (new pose, |angle - target| cost)."""
+def _select_turn(grid: GridMap, pose: Pose, action: Action) -> Pose | None:
+    """Best continuation for a TURN, or None when none is within the window."""
     target = TURN_TARGET_DEG[action]
     best: tuple[float, float, int, int, Pose] | None = None
     for rel, cand in _turn_candidates(grid, pose):
@@ -138,29 +144,67 @@ def _select_turn(grid: GridMap, pose: Pose, action: Action) -> tuple[Pose, float
         key = (cost, abs(rel), cand.street_id, 0 if cand.travel_dir == 1 else 1)
         if best is None or key < best[:4]:
             best = (*key, cand)
-    if best is None:
-        raise InvalidTurn(
-            f"no continuation within {TURN_WINDOW_DEG:.0f} degrees of {target:+.0f}",
-            pose,
-            action,
+    return None if best is None else best[4]
+
+
+def _turn_cost(grid: GridMap, pose: Pose, turned: Pose, action: Action) -> float:
+    """|relative angle - target| of the TURN that took ``pose`` to ``turned``."""
+    rel = signed_delta_deg(pose_bearing(grid, pose), pose_bearing(grid, turned))
+    return angular_distance_deg(rel, TURN_TARGET_DEG[action])
+
+
+def _compute_successor(grid: GridMap, pose: Pose, action: Action) -> Pose | None:
+    if action is Action.END:
+        raise ValueError("END is not executable; it only terminates a route")
+    try:
+        n = len(grid.street(pose.street_id).tiles)
+    except KeyError:
+        raise InvalidPose(f"no street {pose.street_id}", pose, action) from None
+    if not 0 <= pose.index < n:
+        raise InvalidPose(
+            f"index {pose.index} is off street {pose.street_id} of length {n}", pose, action
         )
-    return best[4], best[0]
+    if pose.travel_dir not in (1, -1):
+        raise InvalidPose(f"travel direction {pose.travel_dir} is not +1 or -1", pose, action)
+    if action is Action.WALK:
+        j = pose.index + pose.travel_dir
+        return Pose(pose.street_id, j, pose.travel_dir) if 0 <= j < n else None
+    return _select_turn(grid, pose, action)
+
+
+_UNFILLED = object()
+
+
+def successor(grid: GridMap, pose: Pose, action: Action) -> Pose | None:
+    """The pose after WALK or a TURN, or None where ``step`` would raise.
+
+    Reads the map's pose table (``GridMap.pose_table``) and fills an entry
+    on its first use, so each (pose, action) is worked out once per map. A
+    miss checks the pose first and raises ``InvalidPose`` for one that names
+    no tile; a hit costs one dictionary lookup.
+    """
+    key = (pose, action)
+    nxt = grid.pose_table.get(key, _UNFILLED)
+    if nxt is _UNFILLED:
+        nxt = grid.pose_table[key] = _compute_successor(grid, pose, action)
+    return nxt
 
 
 def step(grid: GridMap, pose: Pose, action: Action) -> Pose:
     """Executes one non-END action. Pure and deterministic."""
-    if action is Action.END:
-        raise ValueError("END is not executable; it only terminates a route")
-    if action is Action.WALK:
-        street = grid.street(pose.street_id)
-        j = pose.index + pose.travel_dir
-        if not 0 <= j < len(street.tiles):
+    nxt = successor(grid, pose, action)
+    if nxt is None:
+        if action is Action.WALK:
             raise InvalidWalk(
                 f"street {pose.street_id} ends at index {pose.index}", pose, action
             )
-        return Pose(pose.street_id, j, pose.travel_dir)
-    new_pose, _ = _select_turn(grid, pose, action)
-    return new_pose
+        raise InvalidTurn(
+            f"no continuation within {TURN_WINDOW_DEG:.0f} degrees of "
+            f"{TURN_TARGET_DEG[action]:+.0f}",
+            pose,
+            action,
+        )
+    return nxt
 
 
 def execute(grid: GridMap, p0: Pose, actions: list[Action]) -> Route:
@@ -215,12 +259,9 @@ def route_to_actions(grid: GridMap, p0: Pose, route: Route) -> list[Action]:
             continue
         options: list[tuple[float, int, Action, Pose]] = []
         for order, kind in enumerate(TURN_ACTIONS):
-            try:
-                cand, cost = _select_turn(grid, pose, kind)
-            except InvalidTurn:
-                continue
-            if walk_successor(grid, cand) == target:
-                options.append((cost, order, kind, cand))
+            cand = successor(grid, pose, kind)
+            if cand is not None and walk_successor(grid, cand) == target:
+                options.append((_turn_cost(grid, pose, cand, kind), order, kind, cand))
         if not options:
             raise UnreachableStep(i, pose_tile(grid, pose), target)
         cost, _, kind, cand = min(options, key=lambda o: (o[0], o[1]))

@@ -2,10 +2,12 @@
 
 A biLSTM encodes the (raw or abstracted) sentence; an LSTM decoder emits
 actions over the 5-symbol alphabet, guided by additive attention over the
-encoder states. The CGAEW variant additionally feeds the current world
-state into both the attention scores and the decoder input, recomputing it
-from the executed prefix after every action. All math runs on the local
-autodiff kernel so gradients stay fully checkable.
+encoder states. The CGAEW variant additionally feeds the world state at
+the current pose into both the attention scores and the decoder input.
+Training runs on the local autodiff kernel so gradients stay fully
+checkable. The beam runs the same step under no_grad on all its
+hypotheses at once, as stacked numpy rows that are bit-identical to the
+autodiff ops row by row (``_step_rows``).
 
 Weight layout note: the decoder input weight is stored as one block per
 input source (previous action embedding, attention context, world state).
@@ -24,7 +26,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .abstraction import Vocabulary
-from .executor import Action, ExecutorError, Pose, step
+from .executor import Action, Pose, successor
+# Not called here: perfbench/tests/test_bench_tracing.py reads ``model.step`` to
+# check that the tracer wraps a function where another module imported it.
+from .executor import step  # noqa: F401
 from .worldmap import GridMap
 from .worldstate import WorldStateLayout, compute as compute_world
 
@@ -272,22 +277,16 @@ class NavigationModel:
 
         Hypotheses whose next action fails in the executor are pruned, so
         every surviving hypothesis carries a valid pose (and, for CGAEW, a
-        world state recomputed from its own executed prefix). The greedy
-        rollout is always scored as a fallback, which keeps the returned
-        normalized score at least as good as greedy's.
+        world state computed at its own pose). The greedy rollout is always
+        scored as a fallback, which keeps the returned normalized score at
+        least as good as greedy's.
         """
         width = self.config.beam_width if beam_width is None else beam_width
         if width < 1:
             raise ValueError("beam_width must be >= 1")
         with ad.no_grad():
-            encoded = self.encode(self.vocab.encode(tokens))
-            result = self._beam(encoded, p0, grid, bindings, width)
-            if width > 1:
-                greedy = self._beam(encoded, p0, grid, bindings, 1)
-                if not greedy.all_pruned and (greedy.score > result.score or result.all_pruned):
-                    greedy.max_live = max(greedy.max_live, result.max_live)
-                    result = greedy
-        return result
+            states, proj = self.encode(self.vocab.encode(tokens))
+            return self._beam(states.data, proj.data, p0, grid, bindings, width)
 
     def world_vector(self, grid: GridMap, pose: Pose, bindings) -> np.ndarray | None:
         """The here||ahead world vector at ``pose`` in the model dtype; None for CGA/CGAE."""
@@ -299,54 +298,137 @@ class NavigationModel:
             dtype=self.config.np_dtype(),
         ).concat()
 
-    def _beam(self, encoded, p0, grid, bindings, width) -> BeamResult:
+    def _step_rows(self, states, proj, h, c, emb_z, world_z, world_u):
+        """``attend`` and ``_decoder_step`` for every row of ``h`` and ``c`` at once, in numpy.
+
+        ``emb_z`` holds each row's ``dec_W_emb @ act_emb[prev]``; ``world_z``
+        and ``world_u`` hold ``dec_W_world @ world`` and ``world @ att_Ww``
+        (None for CGA and CGAE). Returns (log-probabilities, h, c), one row
+        per input row, each bit-identical to the autodiff ops run on that
+        row alone: the additions run in the same order, and every product
+        is stacked per row with ``np.matmul``. ``W @ x`` becomes
+        ``np.matmul(W, X[:, :, None])[..., 0]`` and ``x @ M`` becomes
+        ``np.matmul(X[:, None, :], M)[:, 0, :]``, which run one
+        matrix-vector product per row and so keep each row's float order.
+        A plain GEMM over the rows (``X @ W.T``) does not: it differs from
+        the per-row products in the last bits.
+        """
+        p = self.params.tensors
+        u = np.matmul(h[:, None, :], p["att_Ws"].data)[:, 0, :]
+        if world_u is not None:
+            u = u + world_u
+        scores = np.matmul(np.tanh(proj + u[:, None, :]), p["att_v"].data)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = e / e.sum(axis=-1, keepdims=True)
+        context = np.matmul(weights[:, None, :], states)[:, 0, :]
+        z = emb_z + np.matmul(p["dec_W_ctx"].data, context[:, :, None])[..., 0]
+        if world_z is not None:
+            z += world_z
+        z += np.matmul(p["dec_Wh"].data, h[:, :, None])[..., 0]
+        z += p["dec_b"].data
+        _, c2, _, h2 = ad._lstm_step(z, c)
+        logits = np.matmul(p["out_W"].data, h2[:, :, None])[..., 0] + p["out_b"].data
+        z = logits - logits.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True)), h2, c2
+
+    def _beam(self, states, proj, p0, grid, bindings, width) -> BeamResult:
+        """The beam and the pinned greedy rollout, one batched ``_step_rows`` per time step.
+
+        The greedy rollout is the fallback of ``beam_search``. While its
+        prefix is still in the beam it reads that hypothesis's row; once it
+        falls out it takes one extra row of its own. At width 1 the beam is
+        the greedy rollout and there is no extra row. ``max_live`` counts
+        beam hypotheses only.
+        """
         cfg = self.config
-        states, proj = encoded
-        zeros = ad.constant(np.zeros(cfg.decoder_hidden, dtype=cfg.np_dtype()))
-        # hypothesis: (logp, actions, pose, h, c, prev_id)
-        live = [(0.0, [], p0, zeros, zeros, END_ID)]
+        p = self.params.tensors
+        alpha = cfg.length_norm_alpha
+        # The products that depend only on the previous action or the world
+        # vector: one per action id, and one pair per distinct world vector
+        # of this sentence (many poses share one), found by pose.
+        emb_z = np.matmul(p["dec_W_emb"].data, p["act_emb"].data[:, :, None])[..., 0]
+        at_pose: dict[Pose, tuple[np.ndarray, np.ndarray]] = {}
+        of_world: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+        def world_terms(pose):
+            terms = at_pose.get(pose)
+            if terms is None:
+                world = self.world_vector(grid, pose, bindings)
+                key = world.tobytes()
+                terms = of_world.get(key)
+                if terms is None:
+                    terms = of_world[key] = (p["dec_W_world"].data @ world, world @ p["att_Ww"].data)
+                at_pose[pose] = terms
+            return terms
+
+        def expand(hyps, hyp_rows, keep, logps, order):
+            """The first ``keep`` executable expansions, in the order of a stable
+            sort on log-probability over (hypothesis, action id): (live, completed)."""
+            expansions = [(hyp[0] + logps[row][a_id], k, a_id)
+                          for k, (hyp, row) in enumerate(zip(hyps, hyp_rows)) for a_id in order]
+            expansions.sort(key=lambda e: -e[0])
+            grown, done = [], []
+            for logp, k, a_id in expansions:
+                actions, pose = hyps[k][1:3]
+                if a_id == END_ID:
+                    seq = actions + [Action.END]
+                    done.append((logp / length_penalty(len(seq), alpha), seq))
+                else:
+                    pose2 = successor(grid, pose, ACTIONS[a_id])
+                    if pose2 is None:
+                        continue  # executor failures prune the expansion
+                    grown.append((logp, actions + [ACTIONS[a_id]], pose2, hyp_rows[k], a_id))
+                if len(grown) + len(done) == keep:
+                    break
+            return grown, done
+
+        h = c = np.zeros((1, cfg.decoder_hidden), dtype=cfg.np_dtype())
+        world_z = world_u = None
+        # hypothesis: (logp, actions, pose, row of h and c it continues, last action id)
+        live = [(0.0, [], p0, 0, END_ID)]
+        greedy = live[0] if width > 1 else None
+        greedy_done: list[tuple[float, list[Action]]] = []
         completed: list[tuple[float, list[Action]]] = []
         max_live = 1
         for t in range(cfg.max_decode_len):
-            max_live = max(max_live, len(live))
-            expansions = []
-            for logp, actions, pose, h, c, prev in live:
-                world = self.world_vector(grid, pose, bindings)
-                if world is not None:
-                    world = ad.constant(world)
-                context, _ = self.attend(states, proj, h, world)
-                logits, h2, c2 = self._decoder_step(prev, h, c, context, world, None)
-                logps = ad.log_probs(logits)
-                # executor failures prune the expansion; END always survives
-                order = (END_ID,) if t == cfg.max_decode_len - 1 else range(len(ACTIONS))
-                for a_id in order:
-                    action = ACTIONS[a_id]
-                    cand_logp = logp + float(logps[a_id])
-                    if action is Action.END:
-                        expansions.append((cand_logp, actions, None, None, None, a_id))
-                        continue
-                    try:
-                        pose2 = step(grid, pose, action)
-                    except ExecutorError:
-                        continue
-                    expansions.append(
-                        (cand_logp, actions + [action], pose2, h2, c2, a_id)
-                    )
-            expansions.sort(key=lambda e: -e[0])
-            live = []
-            for cand in expansions[:width]:
-                if cand[5] == END_ID:
-                    seq = cand[1] + [Action.END]
-                    score = cand[0] / length_penalty(len(seq), cfg.length_norm_alpha)
-                    completed.append((score, seq))
-                else:
-                    live.append(cand)
-            if len(completed) >= width or not live:
+            if not live and greedy is None:
                 break
-        if not completed:
-            return BeamResult([Action.END], float("-inf"), all_pruned=True, max_live=max_live)
-        score, seq = max(completed, key=lambda c: c[0])
-        return BeamResult(seq, score, max_live=max_live)
+            max_live = max(max_live, len(live))
+            rows = list(live)
+            if greedy is not None:
+                # the same (row continued, last action) is the same prefix
+                g = next((i for i, hyp in enumerate(live) if hyp[3:] == greedy[3:]), None)
+                if g is None:
+                    g = len(rows)
+                    rows.append(greedy)
+            if cfg.uses_world:
+                terms = [world_terms(hyp[2]) for hyp in rows]
+                world_z = np.array([z for z, _ in terms])
+                world_u = np.array([u for _, u in terms])
+            parents = [hyp[3] for hyp in rows]
+            logps, h, c = self._step_rows(
+                states, proj, h.take(parents, axis=0), c.take(parents, axis=0),
+                emb_z.take([hyp[4] for hyp in rows], axis=0), world_z, world_u,
+            )
+            logps = logps.tolist()
+            # END always survives; at the length limit it is the only choice
+            order = (END_ID,) if t == cfg.max_decode_len - 1 else range(len(ACTIONS))
+            if live:
+                live, done = expand(live, range(len(live)), width, logps, order)
+                completed += done
+                if len(completed) >= width:
+                    live = []
+            if greedy is not None:
+                grown, greedy_done = expand([greedy], [g], 1, logps, order)
+                greedy = grown[0] if grown else None
+        if completed:
+            score, seq = max(completed, key=lambda e: e[0])
+            result = BeamResult(seq, score, max_live=max_live)
+        else:
+            result = BeamResult([Action.END], float("-inf"), all_pruned=True, max_live=max_live)
+        if greedy_done and (greedy_done[0][0] > result.score or result.all_pruned):
+            result = BeamResult(greedy_done[0][1], greedy_done[0][0], max_live=max_live)
+        return result
 
     def predict(self, tokens, p0: Pose, grid: GridMap, bindings=()) -> list[Action]:
         return self.beam_search(tokens, p0, grid, bindings).actions

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
-    from .executor import Pose
+    from .executor import Action, Pose
 
 TILE_SIZE_M = 11.132
 
@@ -133,10 +133,14 @@ class GridMap:
         self._entities_by_id = {e.id: e for e in self.entities}
         self._streets_by_id = {s.id: s for s in self.streets}
         self.tile_index = self._build_tile_index()
-        # Lazy cache for hot spatial queries; population is idempotent, so
-        # concurrent readers can at worst recompute an entry, never observe
-        # a wrong one.
+        # Lazy caches for hot queries, filled one entry at a time on first
+        # use and never here. Population is idempotent, so concurrent readers
+        # can at worst recompute an entry, never observe a wrong one.
         self._inflated: dict[tuple[int, int], frozenset[TileCoord]] = {}
+        # (pose, action) -> pose after the action, or None where it cannot
+        # execute; filled and read by ``executor.successor``.
+        self.pose_table: dict[tuple[Pose, Action], Pose | None] = {}
+        self._types_near: dict[tuple[Pose, int, int], tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self._types_at: dict[TileCoord, tuple[str, ...]] = {
             t: tuple(sorted({self._entities_by_id[e].entity_type for e in entry[0]}))
             for t, entry in self.tile_index.items()
@@ -232,10 +236,6 @@ class GridMap:
         entry = self.tile_index.get(t)
         return bool(entry and entry[1])
 
-    def entity_types_at_tile(self, t: TileCoord) -> tuple[str, ...]:
-        """Types of entities whose footprint covers exactly this tile."""
-        return self._types_at.get(t, ())
-
     def tiles_within(self, gid: int, radius: int) -> frozenset[TileCoord]:
         """Grounding footprint inflated by a Chebyshev radius (cached)."""
         key = (gid, radius)
@@ -247,6 +247,27 @@ class GridMap:
                     for dr in range(-radius, radius + 1):
                         out.add(TileCoord(t.col + dc, t.row + dr))
             cached = self._inflated[key] = frozenset(out)
+        return cached
+
+    def types_near(self, pose: "Pose", horizon: int, radius: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Entity types near the pose (cached): (here, ahead).
+
+        Here: types whose footprint meets the Chebyshev ball of ``radius``
+        around the pose's tile. Ahead: types covering a tile of
+        ``path_ahead(pose, horizon)``.
+        """
+        key = (pose, horizon, radius)
+        cached = self._types_near.get(key)
+        if cached is None:
+            tile = self._streets_by_id[pose.street_id].tiles[pose.index]
+            here: set[str] = set()
+            for dc in range(-radius, radius + 1):
+                for dr in range(-radius, radius + 1):
+                    here.update(self._types_at.get(TileCoord(tile.col + dc, tile.row + dr), ()))
+            ahead: set[str] = set()
+            for t in self.path_ahead(pose, horizon):
+                ahead.update(self._types_at.get(t, ()))
+            cached = self._types_near[key] = (tuple(sorted(here)), tuple(sorted(ahead)))
         return cached
 
     # -- spatial queries ----------------------------------------------------

@@ -3,8 +3,14 @@
 Both vectors are multi-hot over a fixed layout: one bit per entity type in
 the closed inventory, then one slot per ``<TYPE_k>`` variable token up to a
 fixed k per type. Variables beyond the slot budget contribute no slot and
-fall back to their type bit. Vectors are recomputed from scratch after every
-executed action, never updated incrementally.
+fall back to their type bit. A vector is a function of the pose and the
+sentence's bindings alone, never updated incrementally from the previous
+one, so it can be cached in two parts:
+
+- the type bits depend only on the pose; the map caches them
+  (``GridMap.types_near``) for every caller;
+- the binding slots depend on the pose and the grounding ids; the beam
+  computes each pose's vector once for the one sentence it decodes.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .abstraction import parse_variable
 from .executor import Pose, pose_tile
-from .worldmap import ENTITY_TYPES, GridMap, TileCoord
+from .worldmap import ENTITY_TYPES, GridMap
 
 DEFAULT_HORIZON = 10
 DEFAULT_RADIUS = 1
@@ -72,18 +78,13 @@ def compute(
     """
     here = np.zeros(layout.width, dtype=dtype)
     ahead = np.zeros(layout.width, dtype=dtype)
+    here_types, ahead_types = grid.types_near(pose, horizon, radius)
+    for etype in here_types:
+        here[layout.type_index(etype)] = 1.0
+    for etype in ahead_types:
+        ahead[layout.type_index(etype)] = 1.0
     tile = pose_tile(grid, pose)
     ahead_tiles = grid.path_ahead(pose, horizon)
-
-    for dc in range(-radius, radius + 1):
-        for dr in range(-radius, radius + 1):
-            near = TileCoord(tile.col + dc, tile.row + dr)
-            for etype in grid.entity_types_at_tile(near):
-                here[layout.type_index(etype)] = 1.0
-    for t in ahead_tiles:
-        for etype in grid.entity_types_at_tile(t):
-            ahead[layout.type_index(etype)] = 1.0
-
     for var, gid in bindings:
         slot = layout.slot_index(var)
         if slot is None:

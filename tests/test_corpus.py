@@ -79,3 +79,24 @@ def test_parse_rejects_bad_binding():
 def test_parse_names_line_numbers():
     with pytest.raises(CorpusFormatError, match=":2"):
         parse_corpus("CORPUS 1\nGARBAGE\n")
+
+
+def _one_instruction(start: str, final: str, actions: str) -> str:
+    return (
+        f"CORPUS 1\nPARAGRAPH p map=m start={start}\nINSTRUCTION 0\nTEXT hi\n"
+        f"TOKENS hi\nABSTRACT hi\nBINDINGS -\n"
+        f"ROUTE (0,0) final={final}\nACTIONS {actions}\n"
+    )
+
+
+def test_parse_rejects_negative_pose_index():
+    with pytest.raises(CorpusFormatError, match=r"^corpus\.txt:2: bad pose '\(1,-1,\+1\)'"):
+        parse_corpus(_one_instruction("(1,-1,+1)", "(1,0,+1)", "END"), source="corpus.txt")
+    with pytest.raises(CorpusFormatError, match=r"^corpus\.txt:8: bad pose '\(1,-3,-1\)'"):
+        parse_corpus(_one_instruction("(1,0,+1)", "(1,-3,-1)", "END"), source="corpus.txt")
+
+
+def test_parse_rejects_unknown_action_token_with_line():
+    text = _one_instruction("(1,0,+1)", "(1,0,+1)", "WALK FLY END")
+    with pytest.raises(CorpusFormatError, match=r"^corpus\.txt:9: unknown action token 'FLY'"):
+        parse_corpus(text, source="corpus.txt")

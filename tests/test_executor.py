@@ -4,6 +4,7 @@ import pytest
 from urbanav.executor import (
     Action,
     ExecutionError,
+    InvalidPose,
     InvalidTurn,
     InvalidWalk,
     Pose,
@@ -16,11 +17,31 @@ from urbanav.executor import (
     pose_tile,
     route_to_actions,
     step,
+    successor,
+    walk_successor,
 )
-from urbanav.worldmap import TileCoord
+from urbanav.synth import SynthSpec, generate_map
+from urbanav.worldmap import GridMap, Street, TileCoord
 
 from conftest import random_pose
-from naive_executor import naive_execute
+from naive_executor import naive_execute, naive_step
+
+MOVES = (Action.WALK, Action.TURN_LEFT, Action.TURN_RIGHT, Action.TURN_AROUND)
+
+
+def self_crossing_map() -> GridMap:
+    """A street that passes (2,2) twice, crossed at (2,3) and (3,3) by a second street."""
+    loop = (TileCoord(2, 0), TileCoord(2, 1), TileCoord(2, 2), TileCoord(2, 3),
+            TileCoord(3, 3), TileCoord(3, 2), TileCoord(2, 2), TileCoord(1, 2), TileCoord(0, 2))
+    row = tuple(TileCoord(c, 3) for c in range(6))
+    return GridMap("loop", 6, 6, streets=[Street(id=1, tiles=loop), Street(id=2, tiles=row)])
+
+
+def all_poses(grid: GridMap):
+    for street in grid.streets:
+        for index in range(len(street.tiles)):
+            for direction in (1, -1):
+                yield Pose(street.id, index, direction)
 
 
 def sample_route(grid, rng, max_len=12) -> tuple[Pose, Route]:
@@ -229,3 +250,67 @@ def test_action_tokens_roundtrip():
 def test_unknown_action_token_rejected():
     with pytest.raises(ValueError, match="JUMP"):
         parse_actions("WALK JUMP END")
+
+
+# -- pose table ---------------------------------------------------------------------
+
+
+def test_pose_table_matches_naive_interpreter_on_every_move():
+    maps = [generate_map(SynthSpec(seed=500 + i), i % 3) for i in range(5)]
+    maps.append(self_crossing_map())
+    for grid in maps:
+        checked = 0
+        for pose in all_poses(grid):
+            for action in MOVES:
+                expected = naive_step(grid, pose, action)
+                assert successor(grid, pose, action) == expected, (grid.id, pose, action)
+                if expected is None:
+                    with pytest.raises(InvalidWalk if action is Action.WALK else InvalidTurn):
+                        step(grid, pose, action)
+                else:
+                    assert step(grid, pose, action) == expected
+                checked += 1
+        assert len(grid.pose_table) == checked
+
+
+def test_self_crossing_street_turns_onto_its_other_pass():
+    grid = self_crossing_map()
+    # at (2,2) heading south on the first pass; the second pass runs east-west there
+    assert step(grid, Pose(1, 2, 1), Action.TURN_RIGHT) == Pose(1, 6, 1)
+    assert step(grid, Pose(1, 2, 1), Action.TURN_LEFT) == Pose(1, 6, -1)
+
+
+def test_pose_table_stays_lazy():
+    for i in range(3):
+        grid = generate_map(SynthSpec.default(), i)
+        assert grid.pose_table == {} and grid._types_near == {}
+    grid = self_crossing_map()
+    assert grid.pose_table == {} and grid._types_near == {}
+    step(grid, Pose(1, 0, 1), Action.WALK)
+    assert list(grid.pose_table) == [(Pose(1, 0, 1), Action.WALK)]
+
+
+def test_out_of_range_pose_raises_invalid_pose():
+    grid = generate_map(SynthSpec.default(), 0)
+    street = grid.street(1)
+    n = len(street.tiles)
+    for pose in (Pose(1, -1, 1), Pose(1, n, -1)):
+        for action in MOVES:
+            with pytest.raises(InvalidPose, match=f"index {pose.index} is off street 1 of length {n}"):
+                step(grid, pose, action)
+        with pytest.raises(InvalidPose):
+            walk_successor(grid, pose)
+    with pytest.raises(InvalidPose, match="no street 999"):
+        step(grid, Pose(999, 0, 1), Action.WALK)
+    with pytest.raises(InvalidPose, match="travel direction 0"):
+        step(grid, Pose(1, 3, 0), Action.WALK)
+    with pytest.raises(ExecutionError) as exc:
+        execute(grid, Pose(1, -1, 1), [Action.WALK, Action.END])
+    assert isinstance(exc.value.cause, InvalidPose)
+    assert all(key[0].index >= 0 for key in grid.pose_table)
+
+
+def test_end_is_not_a_move(straight):
+    with pytest.raises(ValueError, match="END"):
+        step(straight, Pose(1, 2, 1), Action.END)
+    assert straight.pose_table == {}

@@ -294,6 +294,57 @@ def test_beam_respects_width():
     assert 1 <= result.max_live <= 4
 
 
+def test_pinned_greedy_row_equals_width_one(synth_small):
+    """Width 4 returns greedy's answer only with greedy's exact score; max_live counts beam rows."""
+    maps, corpus = synth_small
+    instrs = list(corpus.instructions())
+    vocab = vocabulary([i.abstract_tokens for _, i in instrs])
+    returned_greedy = 0
+    for seed in (1, 10):  # seed 10 falls back to a greedy rollout that left the beam
+        config = ModelConfig(variant="CGAEW", embed_dim=8, encoder_hidden=8,
+                             decoder_hidden=8, seed=seed, max_decode_len=30)
+        model = NavigationModel(config, vocab, WorldStateLayout())
+        for p, instr in instrs:
+            args = (instr.abstract_tokens, instr.start, maps[p.map_id], instr.bindings)
+            greedy = model.beam_search(*args, beam_width=1)
+            beam = model.beam_search(*args, beam_width=4)
+            assert beam.score >= greedy.score
+            assert 1 <= beam.max_live <= 4
+            if beam.actions == greedy.actions:
+                assert (beam.actions, beam.score) == (greedy.actions, greedy.score)
+                returned_greedy += 1
+    assert returned_greedy > 0
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_step_rows_equal_autodiff_step_per_row(dtype):
+    """The beam's stacked step gives each row the autodiff step's values, bit for bit."""
+    model = NavigationModel(replace(TINY, dtype=dtype), VOCAB, LAYOUT)
+    p = model.params.tensors
+    rng = np.random.default_rng(5)
+    with ad.no_grad():
+        states, proj = model.encode(VOCAB.encode(["walk", "until", "you", "reach", "<SHOP_1>"]))
+        k = 5
+        h = rng.standard_normal((k, 8)).astype(dtype)
+        c = rng.standard_normal((k, 8)).astype(dtype)
+        worlds = (rng.random((k, 2 * LAYOUT.width)) < 0.3).astype(dtype)
+        prev = [0, 4, 1, 2, 3]
+        emb_z = np.stack([p["dec_W_emb"].data @ p["act_emb"].data[a] for a in prev])
+        logps, h2, c2 = model._step_rows(
+            states.data, proj.data, h, c, emb_z,
+            np.stack([p["dec_W_world"].data @ w for w in worlds]),
+            np.stack([w @ p["att_Ww"].data for w in worlds]),
+        )
+        for i in range(k):
+            world = ad.constant(worlds[i])
+            context, _ = model.attend(states, proj, ad.constant(h[i]), world)
+            logits, h_i, c_i = model._decoder_step(
+                prev[i], ad.constant(h[i]), ad.constant(c[i]), context, world, None)
+            z = logits.data - logits.data.max()
+            assert np.array_equal(logps[i], z - np.log(np.exp(z).sum()))
+            assert np.array_equal(h2[i], h_i.data) and np.array_equal(c2[i], c_i.data)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     model = tiny_model()
     path = tmp_path / "model.npz"
