@@ -189,10 +189,6 @@ class Vocabulary:
         return token in self.index
 
     @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
     def unk_id(self) -> int:
         return 1
 

@@ -8,9 +8,14 @@ stay sparse. Outer-product gradients of a leaf (a weight used once per time
 step) are collected during the pass and summed as one matrix product at its
 end. A module-level grad switch lets inference build no graph at all.
 
-``backward(root, corrupt_rule=...)`` scales the gradient flowing through
-every node with the named rule tag; tests use this to prove the finite
-difference check actually catches a broken backward rule.
+The ops are few and fused: ``gather``, ``mul``, ``concat``, ``matmul``,
+``lstm`` for a whole encoder direction and, built from the helpers here,
+the teacher-forced decoder of ``NavigationModel.sentence_loss``.
+
+``backward(root, corrupt_rule=...)`` mis-scales the gradient entering every
+node with the named rule tag, and, through ``corrupted``, an inner rule of
+that name inside a fused op (the decoder's attention ``tanh``); tests use
+this to prove the finite difference check actually catches a broken rule.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from contextlib import contextmanager
 import numpy as np
 
 _GRAD_ENABLED = True
+# (rule, scale) of the running ``backward`` pass; see ``corrupted``
+_CORRUPT: tuple[str | None, float] = (None, 1.0)
 
 
 @contextmanager
@@ -91,6 +98,24 @@ def _acc_outer(parent: Tensor, a: np.ndarray, b: np.ndarray) -> None:
     parent.outer_terms[1].append(b)
 
 
+def _acc_rows(table: Tensor, ids, g) -> None:
+    """Adds ``g`` to rows ``ids`` of ``table.grad``, repeated ids once per occurrence."""
+    if not table.requires_grad:
+        return
+    if table.grad is None:
+        table.grad = np.zeros_like(table.data)
+    np.add.at(table.grad, ids, g)
+
+
+def corrupted(rule: str, g):
+    """``g``, mis-scaled when the running ``backward`` corrupts ``rule``.
+
+    Fused ops pass the gradient of each inner rule through this, so a
+    corrupted rule is caught inside them as it is on a node of its own.
+    """
+    return g * _CORRUPT[1] if rule == _CORRUPT[0] else g
+
+
 def constant(data, dtype=None) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype))
 
@@ -104,62 +129,12 @@ def parameter(data) -> Tensor:
 # -- elementwise --------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g, a=a, b=b):
-        _acc(a, g)
-        _acc(b, g)
-
-    return _make(a.data + b.data, (a, b), bw, "add")
-
-
-def add_n(tensors: list[Tensor]) -> Tensor:
-    if len(tensors) == 1:
-        return tensors[0]
-
-    def bw(g, tensors=tuple(tensors)):
-        for t in tensors:
-            _acc(t, g)
-
-    total = tensors[0].data.copy()
-    for t in tensors[1:]:
-        total += t.data
-    return _make(total, tensors, bw, "add_n")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g, a=a, b=b):
         _acc(a, g * b.data)
         _acc(b, g * a.data)
 
     return _make(a.data * b.data, (a, b), bw, "mul")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    def bw(g, a=a, c=c):
-        _acc(a, g * c)
-
-    return _make(a.data * c, (a,), bw, "scale")
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def bw(g, a=a, y=out_data):
-        _acc(a, g * (1.0 - y * y))
-
-    return _make(out_data, (a,), bw, "tanh")
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax of a 1-D vector."""
-    z = a.data - a.data.max()
-    e = np.exp(z)
-    out_data = e / e.sum()
-
-    def bw(g, a=a, y=out_data):
-        _acc(a, y * (g - np.dot(g, y)))
-
-    return _make(out_data, (a,), bw, "softmax")
 
 
 # -- shape ---------------------------------------------------------------------
@@ -182,35 +157,12 @@ def gather(table: Tensor, ids) -> Tensor:
     """Rows ``table[ids]`` (one row for an int id); the gradient stays a sparse row update."""
 
     def bw(g, table=table, ids=ids):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
+        _acc_rows(table, ids, g)
 
     return _make(table.data[ids], (table,), bw, "gather")
 
 
 # -- linear algebra --------------------------------------------------------------
-
-
-def mv(m: Tensor, v: Tensor) -> Tensor:
-    """Matrix-vector product M @ v."""
-
-    def bw(g, m=m, v=v):
-        _acc_outer(m, g, v.data)
-        _acc(v, m.data.T @ g)
-
-    return _make(m.data @ v.data, (m, v), bw, "mv")
-
-
-def vm(v: Tensor, m: Tensor) -> Tensor:
-    """Vector-matrix product v @ M."""
-
-    def bw(g, v=v, m=m):
-        _acc(v, m.data @ g)
-        _acc_outer(m, v.data, g)
-
-    return _make(v.data @ m.data, (v, m), bw, "vm")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -219,16 +171,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _acc(b, a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), bw, "matmul")
-
-
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Adds a vector to every row of a matrix."""
-
-    def bw(g, m=m, v=v):
-        _acc(m, g)
-        _acc(v, g.sum(axis=0))
-
-    return _make(m.data + v.data, (m, v), bw, "add_rowvec")
 
 
 # -- recurrent cells ------------------------------------------------------------
@@ -259,41 +201,6 @@ def _lstm_step_grads(acts, c_prev, tanh_c, dh, dc):
         dh * tanh_c * o * (1.0 - o),
     ])
     return dz, dc * f
-
-
-def lstm_cell(terms: list[tuple[Tensor, Tensor]], bias: Tensor, c_prev: Tensor):
-    """One fused LSTM step with pre-activation ``sum_k W_k @ x_k + bias``.
-
-    Each ``(W, x)`` term keeps its own weight block, summed in order.
-    Returns ``(h, c)``. The ``h`` node owns the step's backward rule; ``c``
-    is a second output that consumes ``h``, so a reverse topological walk
-    always reaches it first and it hands its gradient to ``h``'s rule. Both
-    carry the rule tag ``lstm_cell``.
-    """
-    z = terms[0][0].data @ terms[0][1].data
-    for w, x in terms[1:]:
-        z += w.data @ x.data
-    z += bias.data
-    acts, c_data, tanh_c, h_data = _lstm_step(z, c_prev.data)
-    dc_out = []  # the gradient reaching c, left by c's rule
-
-    def bw(g, terms=tuple(terms), bias=bias, c_prev=c_prev):
-        dz, dc_prev = _lstm_step_grads(acts, c_prev.data, tanh_c, g, dc_out[0] if dc_out else 0.0)
-        for w, x in terms:
-            _acc_outer(w, dz, x.data)
-            _acc(x, w.data.T @ dz)
-        _acc(bias, dz)
-        _acc(c_prev, dc_prev)
-
-    parents = tuple(t for term in terms for t in term) + (bias, c_prev)
-    h = _make(h_data, parents, bw, "lstm_cell")
-
-    def c_bw(g, h=h):
-        if h.grad is None:
-            h.grad = np.zeros_like(h.data)
-        dc_out.append(g)
-
-    return h, _make(c_data, (h,), c_bw, "lstm_cell")
 
 
 def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor, reverse: bool = False) -> Tensor:
@@ -334,23 +241,6 @@ def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor, reverse: bool = Fals
     return _make(np.ascontiguousarray(out), (x, w_x, w_h, bias), bw, "lstm")
 
 
-# -- losses -----------------------------------------------------------------------
-
-
-def nll(logits: Tensor, target: int) -> Tensor:
-    """Negative log-likelihood of ``target`` under softmax(logits); scalar."""
-    z = logits.data - logits.data.max()
-    lse = np.log(np.exp(z).sum())
-    out_data = np.asarray(lse - z[target])
-
-    def bw(g, logits=logits, target=target, z=z, lse=lse):
-        p = np.exp(z - lse)
-        p[target] -= 1.0
-        _acc(logits, g * p)
-
-    return _make(out_data, (logits,), bw, "nll")
-
-
 # -- backward pass ------------------------------------------------------------------
 
 
@@ -377,21 +267,22 @@ def backward(root: Tensor, corrupt_rule: str | None = None, corrupt_scale: float
     """Accumulates d(root)/d(leaf) into every reachable leaf's ``grad``.
 
     ``corrupt_rule`` deliberately mis-scales the gradient at nodes carrying
-    that rule tag (negative control for the finite-difference check).
+    that rule tag, and inside fused ops (see ``corrupted``), for the length
+    of the pass (negative control for the finite-difference check).
     """
+    global _CORRUPT
     if root.data.shape != ():
         raise ValueError("backward expects a scalar root")
     root.grad = np.ones_like(root.data)
     order = _topo_order(root)
+    _CORRUPT = (corrupt_rule, corrupt_scale)
     try:
         for node in reversed(order):
             if node.backward_fn is None or node.grad is None:
                 continue
-            g = node.grad
-            if corrupt_rule is not None and node.rule == corrupt_rule:
-                g = g * corrupt_scale
-            node.backward_fn(g)
+            node.backward_fn(corrupted(node.rule, node.grad))
     finally:
+        _CORRUPT = (None, 1.0)
         for node in order:
             if node.outer_terms is not None:
                 left, right = node.outer_terms

@@ -15,15 +15,7 @@ import numpy as np
 
 from .corpus import Corpus, Instruction
 from .evaluator import Policy
-from .executor import (
-    Action,
-    ExecutorError,
-    Pose,
-    TURN_ACTIONS,
-    pose_tile,
-    step,
-    walk_successor,
-)
+from .executor import Action, Pose, TURN_ACTIONS, pose_tile, step, successor, walk_successor
 from .worldmap import GridMap, TileCoord
 
 JUMP_STEP_BUDGET = 200
@@ -40,16 +32,15 @@ def random_walk(grid: GridMap, p0: Pose, avg_len: float, rng: np.random.Generato
     choice = rng.integers(0, 4)
     if choice > 0:
         turn = TURN_ACTIONS[choice - 1]
-        try:
-            pose = step(grid, pose, turn)
+        turned = successor(grid, pose, turn)
+        if turned is not None:  # else no continuation for that heading; stay as-is
+            pose = turned
             actions.append(turn)
-        except ExecutorError:
-            pass  # no continuation for that heading; stay as-is
     for _ in range(int(round(avg_len))):
-        try:
-            pose = step(grid, pose, Action.WALK)
-        except ExecutorError:
+        nxt = successor(grid, pose, Action.WALK)
+        if nxt is None:
             break
+        pose = nxt
         actions.append(Action.WALK)
     actions.append(Action.END)
     return actions
@@ -102,9 +93,8 @@ def jump(
             if succ is not None and succ in dist:
                 options.append((dist[succ], 0, Action.WALK, None))
             for order, kind in enumerate(TURN_ACTIONS, start=1):
-                try:
-                    cand = step(grid, pose, kind)
-                except ExecutorError:
+                cand = successor(grid, pose, kind)
+                if cand is None:
                     continue
                 after = walk_successor(grid, cand)
                 if after is not None and after in dist:
@@ -116,11 +106,11 @@ def jump(
                 pose = cand if action is not Action.WALK else step(grid, pose, Action.WALK)
             elif walk_successor(grid, pose) is None:
                 turn = TURN_ACTIONS[rng.integers(0, 3)]
-                try:
-                    pose = step(grid, pose, turn)
-                    actions.append(turn)
-                except ExecutorError:
+                turned = successor(grid, pose, turn)
+                if turned is None:
                     break
+                pose = turned
+                actions.append(turn)
             else:
                 pose = step(grid, pose, Action.WALK)
                 actions.append(Action.WALK)

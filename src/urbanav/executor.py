@@ -61,7 +61,7 @@ class Route:
 
 
 class ExecutorError(Exception):
-    def __init__(self, message: str, pose: Pose, action: Action):
+    def __init__(self, message: str, pose: Pose, action: Action | None):
         super().__init__(message)
         self.pose = pose
         self.action = action
@@ -76,7 +76,10 @@ class InvalidTurn(ExecutorError):
 
 
 class InvalidPose(ExecutorError):
-    """The pose names no tile of the map: unknown street, index off the street, or bad direction."""
+    """The pose names no tile of the map: unknown street, index off the street, or bad direction.
+
+    ``action`` is the action asked of the pose, or None where none was.
+    """
 
 
 class ExecutionError(Exception):
@@ -153,9 +156,11 @@ def _turn_cost(grid: GridMap, pose: Pose, turned: Pose, action: Action) -> float
     return angular_distance_deg(rel, TURN_TARGET_DEG[action])
 
 
-def _compute_successor(grid: GridMap, pose: Pose, action: Action) -> Pose | None:
-    if action is Action.END:
-        raise ValueError("END is not executable; it only terminates a route")
+def check_pose(grid: GridMap, pose: Pose, action: Action | None = None) -> int:
+    """The length of the pose's street; raises ``InvalidPose`` for a pose that names no tile.
+
+    Poses from outside pass here once; the poses ``successor`` returns are valid.
+    """
     try:
         n = len(grid.street(pose.street_id).tiles)
     except KeyError:
@@ -166,6 +171,13 @@ def _compute_successor(grid: GridMap, pose: Pose, action: Action) -> Pose | None
         )
     if pose.travel_dir not in (1, -1):
         raise InvalidPose(f"travel direction {pose.travel_dir} is not +1 or -1", pose, action)
+    return n
+
+
+def _compute_successor(grid: GridMap, pose: Pose, action: Action) -> Pose | None:
+    if action is Action.END:
+        raise ValueError("END is not executable; it only terminates a route")
+    n = check_pose(grid, pose, action)
     if action is Action.WALK:
         j = pose.index + pose.travel_dir
         return Pose(pose.street_id, j, pose.travel_dir) if 0 <= j < n else None
@@ -213,11 +225,16 @@ def execute(grid: GridMap, p0: Pose, actions: list[Action]) -> Route:
     The route records the tile after every action; TURNs leave the tile
     unchanged so it is recorded once. A failing step raises ExecutionError
     carrying the partial route, so callers can still score what executed.
+    A start pose that names no tile fails action 0 with an empty route.
     """
     if not actions or actions[-1] is not Action.END:
         raise ValueError("action string must end with END")
     if any(a is Action.END for a in actions[:-1]):
         raise ValueError("END may only appear as the final action")
+    try:
+        check_pose(grid, p0, actions[0])
+    except InvalidPose as err:
+        raise ExecutionError(err, Route((), p0), 0) from err
     tiles = [pose_tile(grid, p0)]
     pose = p0
     for i, action in enumerate(actions[:-1]):
@@ -232,10 +249,12 @@ def execute(grid: GridMap, p0: Pose, actions: list[Action]) -> Route:
 
 
 def execute_lenient(grid: GridMap, p0: Pose, actions: list[Action]) -> Route:
-    """Like ``execute`` but truncates at the first failing action."""
+    """Like ``execute`` but truncates at the first failing action; a bad start pose raises."""
     try:
         return execute(grid, p0, actions)
     except ExecutionError as err:
+        if isinstance(err.cause, InvalidPose):
+            raise
         return err.partial_route
 
 
@@ -246,6 +265,7 @@ def route_to_actions(grid: GridMap, p0: Pose, route: Route) -> list[Action]:
     the cheapest TURN (by |angle - target| over the three TURN kinds) that
     makes it so.
     """
+    check_pose(grid, p0)
     if route.tiles[0] != pose_tile(grid, p0):
         raise ValueError(f"route starts at {route.tiles[0]}, pose is at {pose_tile(grid, p0)}")
     actions: list[Action] = []

@@ -5,9 +5,10 @@ actions over the 5-symbol alphabet, guided by additive attention over the
 encoder states. The CGAEW variant additionally feeds the world state at
 the current pose into both the attention scores and the decoder input.
 Training runs on the local autodiff kernel so gradients stay fully
-checkable. The beam runs the same step under no_grad on all its
-hypotheses at once, as stacked numpy rows that are bit-identical to the
-autodiff ops row by row (``_step_rows``).
+checkable. Training and the beam share one NumPy decoder step
+(``_step_rows``): the beam runs it on all its hypotheses at once, and the
+teacher-forced loss on one row per gold action inside one autodiff node
+(``_decoder_loss``).
 
 Weight layout note: the decoder input weight is stored as one block per
 input source (previous action embedding, attention context, world state).
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -159,6 +161,13 @@ class ModelParameters:
             t.data[...] = values[k]
 
 
+# What ``_step_rows`` returns, one row per input row: log-probabilities over
+# ACTIONS, h, c, and what the backward pass reads: tanh(proj + u), the
+# attention weights and context, the gate activations, tanh(c), and the
+# output layer's input (h after dropout).
+_Step = namedtuple("_Step", "logp h c th weights context acts tanh_c out_in")
+
+
 @dataclass
 class BeamResult:
     actions: list[Action]
@@ -190,55 +199,73 @@ class NavigationModel:
             raise ValueError("cannot encode an empty sentence")
         p = self.params
         x = ad.gather(p["tok_emb"], token_ids)
-        if dropout_rng is not None:
-            x = self._dropout(x, dropout_rng)
+        mask = self._dropout_mask(x.data.shape, dropout_rng)
+        if mask is not None:
+            x = ad.mul(x, ad.constant(mask))
         fwd = ad.lstm(x, p["enc_fwd_Wx"], p["enc_fwd_Wh"], p["enc_fwd_b"])
         bwd = ad.lstm(x, p["enc_bwd_Wx"], p["enc_bwd_Wh"], p["enc_bwd_b"], reverse=True)
         states = ad.concat([fwd, bwd])
         proj = ad.matmul(states, p["att_Wh"])
         return states, proj
 
-    # -- attention -------------------------------------------------------------
-
-    def attend(self, states, proj, dec_state, world: ad.Tensor | None):
-        """Additive attention; returns (context node, weights array).
-
-        ``world`` is the step's here||ahead vector as a constant node (CGAEW
-        only); the decoder step takes the same node.
-        """
-        p = self.params
-        u = ad.vm(dec_state, p["att_Ws"])
-        if self.config.uses_world:
-            if world is None:
-                raise ValueError("CGAEW attention needs a world state")
-            u = ad.add(u, ad.vm(world, p["att_Ww"]))
-        scores = ad.mv(ad.tanh(ad.add_rowvec(proj, u)), p["att_v"])
-        weights = ad.softmax(scores)
-        context = ad.vm(weights, states)
-        return context, weights.data
-
-    # -- decoder ---------------------------------------------------------------
-
-    def _dropout(self, x: ad.Tensor, rng: np.random.Generator) -> ad.Tensor:
+    def _dropout_mask(self, shape, rng: np.random.Generator | None) -> np.ndarray | None:
+        """An inverted-dropout mask of ``shape`` from ``rng``; None when nothing is dropped."""
         keep = self.config.dropout_keep
-        if keep >= 1.0:
-            return x
-        mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype) / keep
-        return ad.mul(x, ad.constant(mask))
+        if rng is None or keep >= 1.0:
+            return None
+        return (rng.random(shape) < keep).astype(self.config.np_dtype()) / keep
 
-    def _decoder_step(self, prev_action_id, h, c, context, world, dropout_rng):
-        p = self.params
-        terms = [
-            (p["dec_W_emb"], ad.gather(p["act_emb"], prev_action_id)),
-            (p["dec_W_ctx"], context),
-            (p["dec_Wh"], h),
-        ]
-        if self.config.uses_world:
-            terms.insert(2, (p["dec_W_world"], world))
-        h2, c2 = ad.lstm_cell(terms, p["dec_b"], c)
-        out_in = self._dropout(h2, dropout_rng) if dropout_rng is not None else h2
-        logits = ad.add(ad.mv(p["out_W"], out_in), p["out_b"])
-        return logits, h2, c2
+    # -- one decoder step ----------------------------------------------------------
+
+    def attend(self, states, proj, h, world_u):
+        """Additive attention for every row of ``h``: (tanh(proj + u), weights, context).
+
+        ``states`` and ``proj`` are the encoder's arrays. A row's ``u`` is
+        ``h @ att_Ws``, plus its ``world @ att_Ww`` from ``world_u`` for
+        CGAEW (None for CGA and CGAE).
+        """
+        p = self.params.tensors
+        u = np.matmul(h[:, None, :], p["att_Ws"].data)[:, 0, :]
+        if world_u is not None:
+            u = u + world_u
+        th = np.tanh(proj + u[:, None, :])
+        scores = np.matmul(th, p["att_v"].data)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = e / e.sum(axis=-1, keepdims=True)
+        context = np.matmul(weights[:, None, :], states)[:, 0, :]
+        return th, weights, context
+
+    def _cell(self, h, c, context, emb_z, world_z):
+        """The decoder LSTM for every row: (h2, c2, gate activations, tanh(c2))."""
+        p = self.params.tensors
+        z = emb_z + np.matmul(p["dec_W_ctx"].data, context[:, :, None])[..., 0]
+        if world_z is not None:
+            z += world_z
+        z += np.matmul(p["dec_Wh"].data, h[:, :, None])[..., 0]
+        z += p["dec_b"].data
+        acts, c2, tanh_c, h2 = ad._lstm_step(z, c)
+        return h2, c2, acts, tanh_c
+
+    def _step_rows(self, states, proj, h, c, emb_z, world_z, world_u, out_mask=None) -> _Step:
+        """One decoder step for every row of ``h`` and ``c``, in NumPy.
+
+        ``emb_z`` holds each row's ``dec_W_emb @ act_emb[prev]``; ``world_z``
+        and ``world_u`` hold ``dec_W_world @ world`` and ``world @ att_Ww``
+        (None for CGA and CGAE); ``out_mask`` is the output dropout mask.
+        Each row keeps the float order of a one-row step, whatever rows sit
+        beside it: every product is stacked per row with ``np.matmul``
+        (``W @ x`` as ``np.matmul(W, X[:, :, None])[..., 0]``), one
+        matrix-vector product per row. A plain GEMM over the rows
+        (``X @ W.T``) differs from the per-row products in the last bits.
+        """
+        p = self.params.tensors
+        th, weights, context = self.attend(states, proj, h, world_u)
+        h2, c2, acts, tanh_c = self._cell(h, c, context, emb_z, world_z)
+        out_in = h2 if out_mask is None else h2 * out_mask
+        logits = np.matmul(p["out_W"].data, out_in[:, :, None])[..., 0] + p["out_b"].data
+        z = logits - logits.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        return _Step(logp, h2, c2, th, weights, context, acts, tanh_c, out_in)
 
     # -- training loss ------------------------------------------------------------
 
@@ -246,22 +273,102 @@ class NavigationModel:
         """Mean teacher-forced negative log-likelihood over one action string.
 
         ``worlds`` holds the world vector before each gold action (see
-        ``world_vector``); CGA and CGAE ignore it.
+        ``world_vector``); CGA and CGAE ignore it. The decoder is one
+        autodiff node over the whole string (see ``_decoder_loss``).
         """
-        dtype = self.config.np_dtype()
-        Hd = self.config.decoder_hidden
+        if not action_ids:
+            raise ValueError("cannot score an empty action string")
+        if self.config.uses_world and (worlds is None or len(worlds) != len(action_ids)):
+            got = "none" if worlds is None else len(worlds)
+            raise ValueError(f"CGAEW needs one world vector per action: {len(action_ids)}, got {got}")
         states, proj = self.encode(token_ids, dropout_rng)
-        h = ad.constant(np.zeros(Hd, dtype=dtype))
-        c = ad.constant(np.zeros(Hd, dtype=dtype))
-        prev = END_ID  # start marker shares END's embedding
-        losses = []
-        for t, action_id in enumerate(action_ids):
-            world = ad.constant(worlds[t]) if self.config.uses_world else None
-            context, _ = self.attend(states, proj, h, world)
-            logits, h, c = self._decoder_step(prev, h, c, context, world, dropout_rng)
-            losses.append(ad.nll(logits, action_id))
-            prev = action_id
-        return ad.scale(ad.add_n(losses), 1.0 / len(action_ids))
+        # one output mask row per action, drawn after the encoder's mask
+        mask = self._dropout_mask((len(action_ids), self.config.decoder_hidden), dropout_rng)
+        return self._decoder_loss(states, proj, action_ids, worlds, mask)
+
+    def _decoder_loss(self, states, proj, action_ids, worlds, mask) -> ad.Tensor:
+        """The teacher-forced decoder and its mean NLL as one autodiff node.
+
+        The forward runs ``_step_rows`` on one row per gold action. The
+        backward is backpropagation through time: the output layer and NLL
+        for t = 0 ... T-1, then the cell and the attention for t = T-1 ... 0.
+        Float sums depend on their order, and every buffer receives its terms
+        in the order a graph of per-step nodes gets them from ``backward``,
+        so training is bit for bit that graph's (see README, Model family).
+        """
+        cfg = self.config
+        p = self.params.tensors
+        T = len(action_ids)
+        prev = [END_ID, *action_ids[:-1]]  # the start marker shares END's embedding
+        emb = p["act_emb"].data[prev]
+        emb_z = np.matmul(p["dec_W_emb"].data, emb[:, :, None])[..., 0]
+        world = world_z = world_u = None
+        if cfg.uses_world:
+            world = np.stack(worlds)
+            world_z = np.matmul(p["dec_W_world"].data, world[:, :, None])[..., 0]
+            world_u = np.matmul(world[:, None, :], p["att_Ww"].data)[:, 0, :]
+
+        def row(a, t):
+            return None if a is None else a[t : t + 1]
+
+        zeros = np.zeros((1, cfg.decoder_hidden), dtype=cfg.np_dtype())
+        h = c = zeros
+        steps = []
+        for t in range(T):
+            step = self._step_rows(states.data, proj.data, h, c, emb_z[t : t + 1],
+                                   row(world_z, t), row(world_u, t), row(mask, t))
+            steps.append(step)
+            h, c = step.h, step.c
+        total = -steps[0].logp[0, action_ids[0]]
+        for step, target in zip(steps[1:], action_ids[1:]):
+            total = total - step.logp[0, target]  # left to right, in the model dtype
+        loss = np.asarray(total * (1.0 / T))
+
+        def bw(g):
+            g = g * (1.0 / T)
+            dh = np.zeros((T, cfg.decoder_hidden), dtype=zeros.dtype)
+            for t, (step, target) in enumerate(zip(steps, action_ids)):
+                dlogits = np.exp(step.logp[0])
+                dlogits[target] -= 1.0
+                dlogits = g * dlogits
+                ad._acc(p["out_b"], dlogits)
+                ad._acc_outer(p["out_W"], dlogits, step.out_in[0])
+                dout = p["out_W"].data.T @ dlogits
+                dh[t] += dout if mask is None else dout * mask[t]
+            dc = 0.0
+            for t in range(T - 1, -1, -1):
+                step = steps[t]
+                h_prev, c_prev = (steps[t - 1].h, steps[t - 1].c) if t else (zeros, zeros)
+                dz, dc = ad._lstm_step_grads(step.acts[0], c_prev[0], step.tanh_c[0], dh[t], dc)
+                ad._acc_outer(p["dec_W_emb"], dz, emb[t])
+                ad._acc_outer(p["dec_W_ctx"], dz, step.context[0])
+                if world is not None:
+                    ad._acc_outer(p["dec_W_world"], dz, world[t])
+                ad._acc_outer(p["dec_Wh"], dz, h_prev[0])
+                ad._acc(p["dec_b"], dz)
+                if t:
+                    dh[t - 1] += p["dec_Wh"].data.T @ dz
+                ad._acc_rows(p["act_emb"], prev[t], p["dec_W_emb"].data.T @ dz)
+                # attention: context = weights @ states, weights = softmax(th @ att_v)
+                dctx = p["dec_W_ctx"].data.T @ dz
+                weights = step.weights[0]
+                dweights = states.data @ dctx
+                ad._acc(states, np.outer(weights, dctx))
+                dscores = weights * (dweights - np.dot(dweights, weights))
+                th = step.th[0]
+                ad._acc(p["att_v"], th.T @ dscores)
+                da = ad.corrupted("tanh", np.outer(dscores, p["att_v"].data)) * (1.0 - th * th)
+                ad._acc(proj, da)
+                du = da.sum(axis=0)
+                if world is not None:
+                    ad._acc_outer(p["att_Ww"], world[t], du)
+                if t:
+                    dh[t - 1] += p["att_Ws"].data @ du
+                ad._acc_outer(p["att_Ws"], h_prev[0], du)
+
+        weights = ["act_emb", "dec_W_emb", "dec_W_ctx", "dec_Wh", "dec_b", "att_Ws", "att_v",
+                   "out_W", "out_b"] + (["dec_W_world", "att_Ww"] if world is not None else [])
+        return ad._make(loss, (states, proj, *(p[n] for n in weights)), bw, "decoder")
 
     # -- beam search -------------------------------------------------------------
 
@@ -297,39 +404,6 @@ class NavigationModel:
             horizon=self.config.horizon, radius=self.config.radius,
             dtype=self.config.np_dtype(),
         ).concat()
-
-    def _step_rows(self, states, proj, h, c, emb_z, world_z, world_u):
-        """``attend`` and ``_decoder_step`` for every row of ``h`` and ``c`` at once, in numpy.
-
-        ``emb_z`` holds each row's ``dec_W_emb @ act_emb[prev]``; ``world_z``
-        and ``world_u`` hold ``dec_W_world @ world`` and ``world @ att_Ww``
-        (None for CGA and CGAE). Returns (log-probabilities, h, c), one row
-        per input row, each bit-identical to the autodiff ops run on that
-        row alone: the additions run in the same order, and every product
-        is stacked per row with ``np.matmul``. ``W @ x`` becomes
-        ``np.matmul(W, X[:, :, None])[..., 0]`` and ``x @ M`` becomes
-        ``np.matmul(X[:, None, :], M)[:, 0, :]``, which run one
-        matrix-vector product per row and so keep each row's float order.
-        A plain GEMM over the rows (``X @ W.T``) does not: it differs from
-        the per-row products in the last bits.
-        """
-        p = self.params.tensors
-        u = np.matmul(h[:, None, :], p["att_Ws"].data)[:, 0, :]
-        if world_u is not None:
-            u = u + world_u
-        scores = np.matmul(np.tanh(proj + u[:, None, :]), p["att_v"].data)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        weights = e / e.sum(axis=-1, keepdims=True)
-        context = np.matmul(weights[:, None, :], states)[:, 0, :]
-        z = emb_z + np.matmul(p["dec_W_ctx"].data, context[:, :, None])[..., 0]
-        if world_z is not None:
-            z += world_z
-        z += np.matmul(p["dec_Wh"].data, h[:, :, None])[..., 0]
-        z += p["dec_b"].data
-        _, c2, _, h2 = ad._lstm_step(z, c)
-        logits = np.matmul(p["out_W"].data, h2[:, :, None])[..., 0] + p["out_b"].data
-        z = logits - logits.max(axis=-1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True)), h2, c2
 
     def _beam(self, states, proj, p0, grid, bindings, width) -> BeamResult:
         """The beam and the pinned greedy rollout, one batched ``_step_rows`` per time step.
@@ -406,11 +480,11 @@ class NavigationModel:
                 world_z = np.array([z for z, _ in terms])
                 world_u = np.array([u for _, u in terms])
             parents = [hyp[3] for hyp in rows]
-            logps, h, c = self._step_rows(
+            step = self._step_rows(
                 states, proj, h.take(parents, axis=0), c.take(parents, axis=0),
                 emb_z.take([hyp[4] for hyp in rows], axis=0), world_z, world_u,
             )
-            logps = logps.tolist()
+            h, c, logps = step.h, step.c, step.logp.tolist()
             # END always survives; at the length limit it is the only choice
             order = (END_ID,) if t == cfg.max_decode_len - 1 else range(len(ACTIONS))
             if live:

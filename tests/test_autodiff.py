@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from urbanav import autodiff as ad
+from urbanav.abstraction import vocabulary
+from urbanav.model import ModelConfig, NavigationModel
 from urbanav.training import finite_difference_check
+from urbanav.worldstate import WorldStateLayout
 
 
 def p(shape, seed=0):
@@ -10,18 +13,18 @@ def p(shape, seed=0):
     return ad.parameter(rng.normal(size=shape))
 
 
+def entry(t: ad.Tensor, index) -> ad.Tensor:
+    """One entry of a node (an int for a vector, a tuple for a matrix): the tests' loss head."""
+    return ad.gather(t, index)
+
+
 def test_add_mul_backward():
+    # b feeds two products, so its gradient adds up over both uses
     a, b = p(4, 1), p(4, 2)
-    out = ad.mul(ad.add(a, b), b)
-    loss = ad.nll(out, 0)
-    ad.backward(loss)
-    assert a.grad is not None and b.grad is not None
-
-
-def test_softmax_sums_to_one():
-    x = p(7, 3)
-    s = ad.softmax(x)
-    assert s.data.sum() == pytest.approx(1.0, abs=1e-6)
+    out = ad.mul(ad.mul(a, b), b)
+    ad.backward(entry(out, 0))
+    assert a.grad[0] == b.data[0] * b.data[0] and b.grad[0] == 2 * a.data[0] * b.data[0]
+    assert not a.grad[1:].any() and not b.grad[1:].any()
 
 
 def test_backward_requires_scalar():
@@ -33,131 +36,123 @@ def test_backward_requires_scalar():
 def test_no_grad_builds_no_graph():
     x = p(3)
     with ad.no_grad():
-        y = ad.tanh(x)
+        y = ad.mul(x, x)
     assert y.parents == () and not y.requires_grad
 
 
 def test_shared_node_accumulates_once_per_consumer():
-    x = ad.parameter(np.array(2.0))
-    y = ad.add(x, x)  # y = 2x
-    z = ad.mul(y, y)  # z = 4x^2, dz/dx = 8x = 16
-    ad.backward(z)
-    assert x.grad == pytest.approx(16.0)
+    x = ad.parameter(np.array([2.0]))
+    y = ad.mul(x, x)  # y = x^2: both parents are x
+    z = ad.mul(y, y)  # z = x^4, dz/dx = 4x^3 = 32
+    ad.backward(entry(z, 0))
+    assert x.grad[0] == pytest.approx(32.0)
 
 
 def test_linear_subnetwork_gradcheck_is_exact():
-    # the logits are linear in W and v, so the analytic gradient is the
-    # closed form (softmax - onehot) routed through the linear ops, exactly
+    # [W | v] @ [x; 1] = W x + v is linear in W and v, so the analytic
+    # gradient of one output entry is the one-hot row, exactly
     W = p((5, 4), 11)
-    x = ad.constant(np.random.default_rng(5).normal(size=4))
-    v = p(5, 12)
+    v = p((5, 1), 12)
+    x = ad.constant(np.append(np.random.default_rng(5).normal(size=4), 1.0)[:, None])
 
     def build():
-        return ad.nll(ad.add(ad.mv(W, x), v), 0)
+        return entry(ad.matmul(ad.concat([W, v]), x), (2, 0))
 
     err = finite_difference_check(build, [W, v], h=1e-4)
     assert err < 1e-8
-    dlogits = ad.softmax(ad.add(ad.mv(W, x), v)).data
-    dlogits[0] -= 1.0
-    assert np.allclose(W.grad, np.outer(dlogits, x.data), rtol=0, atol=1e-15)
-    assert np.allclose(v.grad, dlogits, rtol=0, atol=1e-15)
+    onehot = np.eye(5)[2]
+    assert np.allclose(W.grad, np.outer(onehot, x.data[:4, 0]), rtol=0, atol=1e-15)
+    assert np.allclose(v.grad[:, 0], onehot, rtol=0, atol=1e-15)
+
+
+def _nonlinear():
+    W1, W2 = p((6, 5), 21), p((3, 6), 22)
+    x = ad.constant(np.random.default_rng(9).normal(size=(5, 1)))
+
+    def build():
+        h = ad.matmul(W1, x)
+        logits = ad.matmul(W2, ad.mul(h, h))
+        return entry(ad.mul(logits, logits), (1, 0))
+
+    return build, [W1, W2]
 
 
 def test_nonlinear_graph_gradcheck():
-    W1, W2 = p((6, 5), 21), p((3, 6), 22)
-    x = ad.constant(np.random.default_rng(9).normal(size=5))
-
-    def build():
-        h = ad.tanh(ad.mv(W1, x))
-        logits = ad.mv(W2, ad.softmax(h))
-        return ad.nll(logits, 1)
-
-    err = finite_difference_check(build, [W1, W2], h=1e-4)
-    assert err < 1e-6
+    build, params = _nonlinear()
+    assert finite_difference_check(build, params, h=1e-4) < 1e-6
 
 
 def test_corrupted_backward_is_detected():
-    W1, W2 = p((6, 5), 31), p((3, 6), 32)
-    x = ad.constant(np.random.default_rng(13).normal(size=5))
-
-    def build():
-        h = ad.tanh(ad.mv(W1, x))
-        logits = ad.mv(W2, h)
-        return ad.nll(logits, 0)
-
-    err = finite_difference_check(build, [W1, W2], h=1e-4, corrupt_rule="tanh")
-    assert err > 1e-2
+    build, params = _nonlinear()
+    assert finite_difference_check(build, params, h=1e-4, corrupt_rule="mul") > 1e-2
 
 
 def test_matrix_ops_gradcheck():
     A = p((4, 3), 41)
     B = p((3, 4), 42)
-    v = p(4, 43)
-    u = p(3, 44)
+    u = p((1, 3), 44)
 
     def build():
-        M = ad.matmul(A, B)            # 4x4
-        M2 = ad.add_rowvec(M, v)       # add v to each row
-        w = ad.vm(u, ad.matmul(B, M2))  # (3x4)@(4x4) -> u@.. -> 4
-        logits = ad.mv(M2, w)
-        return ad.nll(logits, 2)
+        M = ad.matmul(A, B)                # 4x4
+        w = ad.matmul(u, ad.matmul(B, M))  # (1x3)@((3x4)@(4x4)) -> 1x4
+        return entry(ad.matmul(w, M), (0, 2))
 
-    err = finite_difference_check(build, [A, B, v, u], h=1e-4)
+    err = finite_difference_check(build, [A, B, u], h=1e-4)
     assert err < 1e-6
 
 
 def test_stack_row_concat_gradcheck():
     a, b = p((3, 3), 51), p((2, 3), 52)
-    W = p((2, 6), 53)
+    W = p((6, 2), 53)
 
     def build():
         # repeated ids scatter twice into the same row
-        M = ad.concat([ad.gather(a, [2, 0, 2]), ad.tanh(ad.gather(b, [1, 1, 0]))])
-        r0 = ad.gather(M, 0)
-        cat = ad.concat([ad.gather(a, 1), ad.gather(b, 0)])
-        return ad.nll(ad.add(ad.mv(W, r0), ad.mv(W, cat)), 0)
+        rows = ad.gather(b, [1, 1, 0])
+        M = ad.concat([ad.gather(a, [2, 0, 2]), ad.mul(rows, rows)])
+        r0 = ad.gather(M, [0])
+        cat = ad.concat([ad.gather(a, [1]), ad.gather(b, [0])])
+        return entry(ad.mul(ad.matmul(r0, W), ad.matmul(cat, W)), (0, 0))
 
     err = finite_difference_check(build, [a, b, W], h=1e-4)
     assert err < 1e-6
 
 
 def test_topological_order_handles_deep_chains():
-    x = ad.parameter(np.zeros(2))
+    x = ad.parameter(np.ones(2))
+    scale = ad.constant(np.array([1.0, 0.5]))
     h = x
     for _ in range(3000):  # deeper than the recursion limit
-        h = ad.tanh(h)
-    loss = ad.nll(h, 0)
-    ad.backward(loss)
-    assert np.all(np.isfinite(x.grad))
+        h = ad.mul(h, scale)
+    ad.backward(entry(h, 0))
+    assert x.grad.tolist() == [1.0, 0.0]
 
 
-# -- fused LSTM ops --------------------------------------------------------------
+# -- fused ops --------------------------------------------------------------------
 
 
-def _unrolled_cells():
-    """Four lstm_cell steps: per-source terms, a non-zero carried state, and a
-    step whose h feeds nothing but whose c carries on."""
-    H, E = 3, 4
-    emb = p((5, E), 61)
-    w_x, w_h, w_c = p((4 * H, E), 62), p((4 * H, H), 63), p((4 * H, 2), 64)
-    bias, h0, c0 = p(4 * H, 65), p(H, 66), p(H, 67)
-    w_out = p((3, H), 68)
-    side = ad.constant(np.random.default_rng(69).normal(size=2))
-    params = [emb, w_x, w_h, w_c, bias, h0, c0, w_out]
+def test_lstm_cell_gradcheck():
+    """The cell rule both fused LSTM ops use: ``_lstm_step_grads`` against central differences."""
+    rng = np.random.default_rng(61)
+    H = 3
+    z, c_prev = rng.normal(size=4 * H), rng.normal(size=H)
+    dh, dc = rng.normal(size=H), rng.normal(size=H)  # the loss is dh . h + dc . c
 
-    def build():
-        h, c = h0, c0
-        losses = []
-        for t, tok in enumerate([1, 4, 4, 0]):
-            terms = [(w_x, ad.gather(emb, tok)), (w_c, side)]
-            if t != 2:  # step 2 ignores h from step 1, so only its c carries on
-                terms.append((w_h, h))
-            h, c = ad.lstm_cell(terms, bias, c)
-            if t != 1:
-                losses.append(ad.nll(ad.mv(w_out, h), t % 3))
-        return ad.add_n(losses)
+    def loss(z, c_prev):
+        _, c, _, h = ad._lstm_step(z, c_prev)
+        return dh @ h + dc @ c
 
-    return build, params
+    acts, _, tanh_c, _ = ad._lstm_step(z, c_prev)
+    dz, dc_prev = ad._lstm_step_grads(acts, c_prev, tanh_c, dh, dc)
+    eps = 1e-6
+    for x, grad in ((z, dz), (c_prev, dc_prev)):
+        for j in range(x.size):
+            up, down = x.copy(), x.copy()
+            up[j] += eps
+            down[j] -= eps
+            args = (up, c_prev) if x is z else (z, up)
+            args_down = (down, c_prev) if x is z else (z, down)
+            numeric = (loss(*args) - loss(*args_down)) / (2 * eps)
+            assert grad[j] == pytest.approx(numeric, rel=1e-6, abs=1e-9)
 
 
 def _bidirectional_sequence():
@@ -166,7 +161,7 @@ def _bidirectional_sequence():
     emb = p((6, E), 71)
     fwd = [p((4 * H, E), 72), p((4 * H, H), 73), p(4 * H, 74)]
     bwd = [p((4 * H, E), 75), p((4 * H, H), 76), p(4 * H, 77)]
-    w_out = p((3, 2 * H), 78)
+    w_out = p((2 * H, 1), 78)
     ids = [3, 0, 5, 3, 1]
     mask = (np.random.default_rng(79).random((len(ids), E)) < 0.7) / 0.7
     params = [emb, *fwd, *bwd, w_out]
@@ -174,14 +169,25 @@ def _bidirectional_sequence():
     def build():
         x = ad.mul(ad.gather(emb, ids), ad.constant(mask))
         states = ad.concat([ad.lstm(x, *fwd), ad.lstm(x, *bwd, reverse=True)])
-        return ad.add_n([ad.nll(ad.mv(w_out, ad.gather(states, t)), t % 3) for t in (0, 2, 4)])
+        scores = ad.matmul(states, w_out)  # one score per position
+        return entry(ad.mul(scores, scores), (2, 0))
 
     return build, params
 
 
-def test_lstm_cell_gradcheck():
-    build, params = _unrolled_cells()
-    assert finite_difference_check(build, params, h=1e-4) < 1e-6
+def _decoder_op():
+    """The teacher-forced decoder node of a tiny float64 CGAEW model, one fixed dropout mask."""
+    layout = WorldStateLayout(types=("street", "shop"), slots_per_type=1)
+    config = ModelConfig(variant="CGAEW", embed_dim=4, encoder_hidden=6, decoder_hidden=5,
+                         dropout_keep=0.7, seed=1, dtype="float64")
+    model = NavigationModel(config, vocabulary([("a", "b", "c")]), layout)
+    worlds = list((np.random.default_rng(91).random((4, 2 * layout.width)) < 0.5) * 1.0)
+    p = model.params
+
+    def build():
+        return model.sentence_loss([2, 3, 4, 2], [0, 1, 0, 4], worlds, np.random.default_rng(92))
+
+    return build, [p["att_Wh"], p["att_Ws"], p["att_Ww"], p["att_v"]]
 
 
 def test_lstm_sequence_gradcheck():
@@ -196,17 +202,17 @@ def test_lstm_sequence_matches_cell_loop():
     with ad.no_grad():
         for reverse in (False, True):
             states = ad.lstm(ad.constant(x), w_x, w_h, b, reverse=reverse).data
-            h = c = ad.constant(np.zeros(H))
+            h = c = np.zeros(H)
             rows = []
             for t in (range(4, -1, -1) if reverse else range(5)):
-                h, c = ad.lstm_cell([(w_x, ad.constant(x[t])), (w_h, h)], b, c)
-                rows.append(h.data)
+                _, c, _, h = ad._lstm_step(w_x.data @ x[t] + w_h.data @ h + b.data, c)
+                rows.append(h)
             expected = np.stack(rows[::-1] if reverse else rows)
             assert np.allclose(states, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("rule, graph", [
-    ("lstm_cell", _unrolled_cells),
+    ("tanh", _decoder_op),
     ("lstm", _bidirectional_sequence),
     ("gather", _bidirectional_sequence),
 ])

@@ -84,6 +84,17 @@ def test_simulate_reports_failures(tmp_path, capsys):
     assert "failed" in err
 
 
+def test_simulate_rejects_bad_start_pose(tmp_path, capsys):
+    path = tmp_path / "plus.map"
+    save_map(plus_map(), path)
+    code = main(["simulate", "--map", str(path), "--start", "(1,99,1)", "--actions", "END"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("execution failed: action 0 (END) failed: "
+                            "index 99 is off street 1 of length 7\n")
+    assert captured.out == "partial route: \n"
+
+
 def test_abstract_command(tmp_path, capsys):
     path = tmp_path / "plus.map"
     save_map(plus_map(), path)

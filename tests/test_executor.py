@@ -22,6 +22,7 @@ from urbanav.executor import (
 )
 from urbanav.synth import SynthSpec, generate_map
 from urbanav.worldmap import GridMap, Street, TileCoord
+from urbanav.worldstate import WorldStateLayout, compute as compute_world
 
 from conftest import random_pose
 from naive_executor import naive_execute, naive_step
@@ -308,6 +309,23 @@ def test_out_of_range_pose_raises_invalid_pose():
         execute(grid, Pose(1, -1, 1), [Action.WALK, Action.END])
     assert isinstance(exc.value.cause, InvalidPose)
     assert all(key[0].index >= 0 for key in grid.pose_table)
+
+
+@pytest.mark.parametrize("pose", [Pose(1, -1, 1), Pose(1, 0, 0), Pose(1, 99, 1), Pose(999, 0, 1)],
+                         ids=["index-1", "direction0", "index99", "street999"])
+def test_bad_start_pose_fails_action_zero(pose):
+    """A start pose that names no tile is an error before any action, END included."""
+    grid = generate_map(SynthSpec.default(), 0)
+    for run in (execute, execute_lenient):
+        with pytest.raises(ExecutionError, match=r"^action 0 \(END\) failed: ") as exc:
+            run(grid, pose, [Action.END])
+        assert isinstance(exc.value.cause, InvalidPose)
+        assert exc.value.partial_route == Route((), pose)
+    with pytest.raises(InvalidPose):
+        compute_world(grid, pose, (), WorldStateLayout())
+    with pytest.raises(InvalidPose):
+        route_to_actions(grid, pose, Route((TileCoord(0, 7),), pose))
+    assert grid.pose_table == {}
 
 
 def test_end_is_not_a_move(straight):

@@ -15,7 +15,14 @@ from urbanav.model import (
     NavigationModel,
     length_penalty,
 )
-from urbanav.training import Adam, EpochLog, build_example, kept_epoch, train
+from urbanav.training import (
+    Adam,
+    EpochLog,
+    build_example,
+    finite_difference_check,
+    kept_epoch,
+    train,
+)
 from urbanav.worldstate import WorldStateLayout, compute as compute_world
 
 from conftest import plus_map, straight_map
@@ -108,25 +115,38 @@ def test_encode_matches_hand_unrolled_recurrence():
 # -- attention -----------------------------------------------------------------
 
 
+def step_inputs(model, prev_ids, worlds):
+    """``_step_rows``'s per-row products: (emb_z, world_z, world_u), one row per action id."""
+    p = {k: t.data for k, t in model.params.items()}
+    emb_z = np.stack([p["dec_W_emb"] @ p["act_emb"][a] for a in prev_ids])
+    if not model.config.uses_world:
+        return emb_z, None, None
+    return (emb_z, np.stack([p["dec_W_world"] @ w for w in worlds]),
+            np.stack([w @ p["att_Ww"] for w in worlds]))
+
+
+def encoded(model, token_ids):
+    with ad.no_grad():
+        states, proj = model.encode(token_ids)
+    return states.data, proj.data
+
+
 def test_attention_singleton_weight_is_one():
     model = tiny_model()
-    with ad.no_grad():
-        states, proj = model.encode([3])
-        s = ad.constant(np.zeros(8))
-        _, weights = model.attend(states, proj, s, ad.constant(dummy_world()))
-    assert weights.shape == (1,)
-    assert weights[0] == pytest.approx(1.0)
+    _, _, world_u = step_inputs(model, [END_ID], [dummy_world()])
+    _, weights, _ = model.attend(*encoded(model, [3]), np.zeros((1, 8)), world_u)
+    assert weights.shape == (1, 1)
+    assert weights[0, 0] == pytest.approx(1.0)
 
 
 def test_attention_weights_sum_to_one():
     model = tiny_model()
     rng = np.random.default_rng(0)
-    with ad.no_grad():
-        states, proj = model.encode(VOCAB.encode(["walk", "until", "you", "reach"]))
-        for _ in range(5):
-            s = ad.constant(rng.normal(size=8))
-            _, weights = model.attend(states, proj, s, ad.constant(dummy_world()))
-            assert weights.sum() == pytest.approx(1.0, abs=1e-6)
+    _, _, world_u = step_inputs(model, [END_ID] * 5, [dummy_world()] * 5)
+    states, proj = encoded(model, VOCAB.encode(["walk", "until", "you", "reach"]))
+    _, weights, _ = model.attend(states, proj, rng.normal(size=(5, 8)), world_u)
+    assert weights.shape == (5, 4)
+    assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-6)
 
 
 def test_cgaew_attention_with_zero_world_weights_equals_cgae():
@@ -134,14 +154,12 @@ def test_cgaew_attention_with_zero_world_weights_equals_cgae():
     cgaew = tiny_model("CGAEW")
     cgaew.params["att_Ww"].data[...] = 0.0
     token_ids = VOCAB.encode(["walk", "until", "you"])
-    s_vec = np.random.default_rng(1).normal(size=8)
-    with ad.no_grad():
-        st1, pr1 = cgae.encode(token_ids)
-        st2, pr2 = cgaew.encode(token_ids)
-        c1, w1 = cgae.attend(st1, pr1, ad.constant(s_vec), None)
-        c2, w2 = cgaew.attend(st2, pr2, ad.constant(s_vec), ad.constant(dummy_world()))
+    s_vec = np.random.default_rng(1).normal(size=(1, 8))
+    _, _, world_u = step_inputs(cgaew, [END_ID], [dummy_world()])
+    _, w1, c1 = cgae.attend(*encoded(cgae, token_ids), s_vec, None)
+    _, w2, c2 = cgaew.attend(*encoded(cgaew, token_ids), s_vec, world_u)
     assert np.array_equal(w1, w2)
-    assert np.array_equal(c1.data, c2.data)
+    assert np.array_equal(c1, c2)
 
 
 # -- decode step ----------------------------------------------------------------
@@ -149,13 +167,10 @@ def test_cgaew_attention_with_zero_world_weights_equals_cgae():
 
 def first_step_probs(model, token_ids):
     """Action distribution and state after the first decoder step."""
-    zeros = ad.constant(np.zeros(8))
-    world = ad.constant(dummy_world())
-    with ad.no_grad():
-        states, proj = model.encode(token_ids)
-        ctx, _ = model.attend(states, proj, zeros, world)
-        logits, h, c = model._decoder_step(END_ID, zeros, zeros, ctx, world, None)
-        return ad.softmax(logits).data, h.data
+    zeros = np.zeros((1, 8))
+    step = model._step_rows(*encoded(model, token_ids), zeros, zeros,
+                            *step_inputs(model, [END_ID], [dummy_world()]))
+    return np.exp(step.logp[0]), step.h[0]
 
 
 def test_decoder_step_distribution_sums_to_one():
@@ -222,22 +237,20 @@ def test_beam_width_one_is_greedy():
     beam = model.beam_search(tokens, p0, grid, bindings, beam_width=1)
 
     # manual greedy rollout over the shared decoder step
-    with ad.no_grad():
-        states, proj = model.encode(VOCAB.encode(tokens))
+    states, proj = encoded(model, VOCAB.encode(tokens))
     pose = p0
-    h = c = ad.constant(np.zeros(8))
+    h = c = np.zeros((1, 8))
     prev = Action.END
     actions = []
     from urbanav.executor import ExecutorError, step as exec_step
 
     for _ in range(model.config.max_decode_len):
-        world = ad.constant(compute_world(grid, pose, bindings, LAYOUT, horizon=4, radius=1,
-                                          dtype=np.float64).concat())
-        with ad.no_grad():
-            ctx, _ = model.attend(states, proj, h, world)
-            logits, h, c = model._decoder_step(ACTION_IDS[prev], h, c, ctx, world, None)
-            probs = ad.softmax(logits).data
-        ranked = np.argsort(-probs)
+        world = compute_world(grid, pose, bindings, LAYOUT, horizon=4, radius=1,
+                              dtype=np.float64).concat()
+        step = model._step_rows(states, proj, h, c,
+                                *step_inputs(model, [ACTION_IDS[prev]], [world]))
+        h, c = step.h, step.c
+        ranked = np.argsort(-step.logp[0])
         chosen = None
         for a_id in ranked:
             action = ACTIONS[a_id]
@@ -318,31 +331,79 @@ def test_pinned_greedy_row_equals_width_one(synth_small):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_step_rows_equal_autodiff_step_per_row(dtype):
-    """The beam's stacked step gives each row the autodiff step's values, bit for bit."""
+    """The beam's stacked step gives each row what the teacher-forced op, which
+    runs one row per action, computes for that row alone, bit for bit."""
     model = NavigationModel(replace(TINY, dtype=dtype), VOCAB, LAYOUT)
-    p = model.params.tensors
     rng = np.random.default_rng(5)
+    states, proj = encoded(model, VOCAB.encode(["walk", "until", "you", "reach", "<SHOP_1>"]))
+    k = 5
+    h = rng.standard_normal((k, 8)).astype(dtype)
+    c = rng.standard_normal((k, 8)).astype(dtype)
+    worlds = (rng.random((k, 2 * LAYOUT.width)) < 0.3).astype(dtype)
+    prev = [0, 4, 1, 2, 3]
+    stacked = model._step_rows(states, proj, h, c, *step_inputs(model, prev, worlds))
+    for i in range(k):
+        alone = model._step_rows(states, proj, h[i : i + 1], c[i : i + 1],
+                                 *step_inputs(model, prev[i : i + 1], worlds[i : i + 1]))
+        for name, rows, row in zip(alone._fields, stacked, alone):
+            assert np.array_equal(rows[i], row[0]), name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("variant", ["CGA", "CGAEW"])
+def test_teacher_forced_loss_is_mean_step_nll(variant, dtype):
+    """The no-grad loss is minus the mean log-probability the shared step gives
+    the gold string, summed left to right in the model dtype."""
+    model = NavigationModel(replace(TINY, variant=variant, dtype=dtype), VOCAB,
+                            LAYOUT if variant == "CGAEW" else None)
+    token_ids = VOCAB.encode(["walk", "until", "you", "reach", "<SHOP_1>"])
+    action_ids = [ACTION_IDS[a] for a in (Action.TURN_LEFT, Action.WALK, Action.WALK, Action.END)]
+    rng = np.random.default_rng(6)
+    worlds = list((rng.random((len(action_ids), 2 * LAYOUT.width)) < 0.3).astype(dtype))
     with ad.no_grad():
-        states, proj = model.encode(VOCAB.encode(["walk", "until", "you", "reach", "<SHOP_1>"]))
-        k = 5
-        h = rng.standard_normal((k, 8)).astype(dtype)
-        c = rng.standard_normal((k, 8)).astype(dtype)
-        worlds = (rng.random((k, 2 * LAYOUT.width)) < 0.3).astype(dtype)
-        prev = [0, 4, 1, 2, 3]
-        emb_z = np.stack([p["dec_W_emb"].data @ p["act_emb"].data[a] for a in prev])
-        logps, h2, c2 = model._step_rows(
-            states.data, proj.data, h, c, emb_z,
-            np.stack([p["dec_W_world"].data @ w for w in worlds]),
-            np.stack([w @ p["att_Ww"].data for w in worlds]),
-        )
-        for i in range(k):
-            world = ad.constant(worlds[i])
-            context, _ = model.attend(states, proj, ad.constant(h[i]), world)
-            logits, h_i, c_i = model._decoder_step(
-                prev[i], ad.constant(h[i]), ad.constant(c[i]), context, world, None)
-            z = logits.data - logits.data.max()
-            assert np.array_equal(logps[i], z - np.log(np.exp(z).sum()))
-            assert np.array_equal(h2[i], h_i.data) and np.array_equal(c2[i], c_i.data)
+        loss = model.sentence_loss(token_ids, action_ids, worlds)
+    states, proj = encoded(model, token_ids)
+    h = c = np.zeros((1, 8), dtype=dtype)
+    logps = []
+    for t, (prev, target) in enumerate(zip([END_ID, *action_ids], action_ids)):
+        step = model._step_rows(states, proj, h, c, *step_inputs(model, [prev], worlds[t : t + 1]))
+        h, c = step.h, step.c
+        logps.append(step.logp[0, target])
+    total = -logps[0]
+    for logp in logps[1:]:
+        total = total - logp
+    assert loss.data.dtype == np.dtype(dtype)
+    assert loss.data == total * (1.0 / len(action_ids))
+    assert float(loss.data) == pytest.approx(-np.mean(logps), rel=1e-6)
+
+
+def test_sentence_loss_rejects_missing_worlds_and_empty_strings():
+    model = tiny_model()
+    token_ids = VOCAB.encode(["walk", "until"])
+    walk_end = [ACTION_IDS[Action.WALK], END_ID]
+    with pytest.raises(ValueError, match="one world vector per action: 2, got none"):
+        model.sentence_loss(token_ids, walk_end, None)
+    with pytest.raises(ValueError, match="one world vector per action: 2, got 1"):
+        model.sentence_loss(token_ids, walk_end, [dummy_world()])
+    with pytest.raises(ValueError, match="empty action string"):
+        model.sentence_loss(token_ids, [], [])
+
+
+@pytest.mark.parametrize("variant", ["CGA", "CGAEW"])
+def test_sentence_loss_gradcheck_with_dropout(variant):
+    """Every weight's gradient through the decoder op against central differences (float64)."""
+    model = NavigationModel(replace(TINY, variant=variant, dropout_keep=0.7), VOCAB,
+                            LAYOUT if variant == "CGAEW" else None)
+    token_ids = VOCAB.encode(["walk", "until", "you", "reach", "<SHOP_1>", "turn", "left"])
+    action_ids = [ACTION_IDS[a] for a in (Action.WALK, Action.TURN_LEFT, Action.WALK, Action.END)]
+    worlds = [dummy_world() for _ in action_ids]
+    worlds[2][0] = 1.0
+
+    def build():  # a fresh stream each time: the same dropout masks on every call
+        return model.sentence_loss(token_ids, action_ids, worlds, np.random.default_rng(8))
+
+    params = list(model.params.tensors.values())
+    assert finite_difference_check(build, params, h=1e-4) < 1e-5
 
 
 def test_checkpoint_roundtrip(tmp_path):
