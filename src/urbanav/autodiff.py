@@ -4,13 +4,13 @@ Just enough machinery for small recurrent networks: nodes hold a value, an
 accumulated gradient, parent references, and a backward rule tag. The
 backward pass walks the graph in reverse topological order exactly once.
 Gradients accumulate into parent buffers in place, so embedding-row updates
-stay sparse. Outer-product gradients of a leaf (a weight used once per time
-step) are collected during the pass and summed as one matrix product at its
-end. A module-level grad switch lets inference build no graph at all.
+stay sparse. A module-level grad switch lets inference build no graph at all.
 
-The ops are few and fused: ``gather``, ``mul``, ``concat``, ``matmul``,
-``lstm`` for a whole encoder direction and, built from the helpers here,
-the teacher-forced decoder of ``NavigationModel.sentence_loss``.
+The kernel defines no generic ops. A model builds a few fused nodes with
+``_make`` from the helpers here (the LSTM cell and its gradients, ``_acc``
+and ``_acc_rows``): ``NavigationModel.sentence_loss`` is two nodes, the
+encoder and the teacher-forced decoder, each running its own NumPy forward
+and backpropagation through time.
 
 ``backward(root, corrupt_rule=...)`` mis-scales the gradient entering every
 node with the named rule tag, and, through ``corrupted``, an inner rule of
@@ -41,7 +41,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "backward_fn", "rule", "requires_grad", "outer_terms")
+    __slots__ = ("data", "grad", "parents", "backward_fn", "rule", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, rule: str = "leaf"):
         self.data = np.asarray(data)
@@ -50,8 +50,6 @@ class Tensor:
         self.backward_fn = None
         self.rule = rule
         self.requires_grad = requires_grad
-        # a leaf's pending outer-product gradient terms, as (left, right) lists
-        self.outer_terms: tuple[list, list] | None = None
 
     @property
     def shape(self):
@@ -85,19 +83,6 @@ def _acc(parent: Tensor, g) -> None:
     parent.grad += g
 
 
-def _acc_outer(parent: Tensor, a: np.ndarray, b: np.ndarray) -> None:
-    """Adds ``np.outer(a, b)`` to ``parent.grad``; a leaf's terms wait for ``backward``'s end."""
-    if not parent.requires_grad:
-        return
-    if parent.backward_fn is not None:
-        _acc(parent, np.outer(a, b))
-        return
-    if parent.outer_terms is None:
-        parent.outer_terms = ([], [])
-    parent.outer_terms[0].append(a)
-    parent.outer_terms[1].append(b)
-
-
 def _acc_rows(table: Tensor, ids, g) -> None:
     """Adds ``g`` to rows ``ids`` of ``table.grad``, repeated ids once per occurrence."""
     if not table.requires_grad:
@@ -126,53 +111,6 @@ def parameter(data) -> Tensor:
     return t
 
 
-# -- elementwise --------------------------------------------------------------
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g, a=a, b=b):
-        _acc(a, g * b.data)
-        _acc(b, g * a.data)
-
-    return _make(a.data * b.data, (a, b), bw, "mul")
-
-
-# -- shape ---------------------------------------------------------------------
-
-
-def concat(parts: list[Tensor]) -> Tensor:
-    """Concatenation along the last axis."""
-    sizes = [p.data.shape[-1] for p in parts]
-
-    def bw(g, parts=tuple(parts), sizes=tuple(sizes)):
-        at = 0
-        for p, s in zip(parts, sizes):
-            _acc(p, g[..., at : at + s])
-            at += s
-
-    return _make(np.concatenate([p.data for p in parts], axis=-1), parts, bw, "concat")
-
-
-def gather(table: Tensor, ids) -> Tensor:
-    """Rows ``table[ids]`` (one row for an int id); the gradient stays a sparse row update."""
-
-    def bw(g, table=table, ids=ids):
-        _acc_rows(table, ids, g)
-
-    return _make(table.data[ids], (table,), bw, "gather")
-
-
-# -- linear algebra --------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g, a=a, b=b):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), bw, "matmul")
-
-
 # -- recurrent cells ------------------------------------------------------------
 #
 # Gate order is i, f, g, o: the pre-activation z = sum_k W_k x_k + b splits
@@ -190,55 +128,17 @@ def _lstm_step(z: np.ndarray, c_prev: np.ndarray):
 
 
 def _lstm_step_grads(acts, c_prev, tanh_c, dh, dc):
-    """(dz, dc_prev) of one step from the gradients dh and dc reaching h and c."""
-    n = c_prev.shape[0]
-    i, f, g, o = acts[:n], acts[n : 2 * n], acts[2 * n : 3 * n], acts[3 * n :]
+    """(dz, dc_prev) of one step from the gradients dh and dc reaching h and c; one step per row."""
+    n = c_prev.shape[-1]
+    i, f, g, o = acts[..., :n], acts[..., n : 2 * n], acts[..., 2 * n : 3 * n], acts[..., 3 * n :]
     dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
     dz = np.concatenate([
         dc * g * i * (1.0 - i),
         dc * c_prev * f * (1.0 - f),
         dc * i * (1.0 - g * g),
         dh * tanh_c * o * (1.0 - o),
-    ])
+    ], axis=-1)
     return dz, dc * f
-
-
-def lstm(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor, reverse: bool = False) -> Tensor:
-    """LSTM over the rows of ``x`` (N x E) from a zero state; N x H hidden states.
-
-    ``reverse`` runs from the last row to the first; output row t is still
-    the state at input row t. The inputs are projected with one product,
-    and the backward pass takes each weight's gradient as one product over
-    the whole sequence.
-    """
-    xs = x.data[::-1] if reverse else x.data
-    n, hidden = xs.shape[0], w_h.data.shape[1]
-    zx = xs @ w_x.data.T
-    acts = np.empty_like(zx)
-    hs = np.zeros((n + 1, hidden), dtype=zx.dtype)  # hs[t], cs[t]: state before row t
-    cs = np.zeros((n + 1, hidden), dtype=zx.dtype)
-    tanh_c = np.empty((n, hidden), dtype=zx.dtype)
-    for t in range(n):
-        z = zx[t] + w_h.data @ hs[t]
-        z += bias.data
-        acts[t], cs[t + 1], tanh_c[t], hs[t + 1] = _lstm_step(z, cs[t])
-
-    def bw(g, x=x, w_x=w_x, w_h=w_h, bias=bias):
-        dh_out = g[::-1] if reverse else g
-        dz = np.empty_like(acts)
-        dh_next = dc_next = 0.0
-        for t in range(n - 1, -1, -1):
-            dh = dh_out[t] + dh_next
-            dz[t], dc_next = _lstm_step_grads(acts[t], cs[t], tanh_c[t], dh, dc_next)
-            dh_next = w_h.data.T @ dz[t]
-        _acc(w_x, dz.T @ xs)
-        _acc(w_h, dz.T @ hs[:-1])
-        _acc(bias, dz.sum(axis=0))
-        dx = dz @ w_x.data
-        _acc(x, dx[::-1] if reverse else dx)
-
-    out = hs[1:][::-1] if reverse else hs[1:]
-    return _make(np.ascontiguousarray(out), (x, w_x, w_h, bias), bw, "lstm")
 
 
 # -- backward pass ------------------------------------------------------------------
@@ -283,8 +183,3 @@ def backward(root: Tensor, corrupt_rule: str | None = None, corrupt_scale: float
             node.backward_fn(corrupted(node.rule, node.grad))
     finally:
         _CORRUPT = (None, 1.0)
-        for node in order:
-            if node.outer_terms is not None:
-                left, right = node.outer_terms
-                node.outer_terms = None
-                _acc(node, np.stack(left, axis=1) @ np.stack(right))

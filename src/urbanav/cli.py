@@ -19,9 +19,9 @@ from . import __version__
 from .abstraction import Lexicon, abstract, match_entities, tokenize
 from .baselines import jump_factory, no_move_factory, random_factory
 from .configfile import ConfigError, apply_overrides, default_seed, load_config
-from .corpus import load_corpus, save_corpus
+from .corpus import CorpusFormatError, load_corpus, save_corpus
 from .evaluator import SuccessPredicateConfig, run_protocol
-from .executor import ExecutionError, Pose, execute, parse_actions
+from .executor import ExecutionError, InvalidPose, Pose, check_pose, execute, parse_actions
 from .model import ModelConfig, VARIANTS
 from .synth import SynthSpec, corpus_stats, generate
 from .training import ModelPolicy, VariantPolicyFactory, gradient_check, kept_epoch
@@ -45,7 +45,31 @@ def _load_data_dir(path: str):
         maps[grid.id] = grid
     if not maps:
         raise FileNotFoundError(f"{root}: no .map files")
+    _check_corpus_maps(corpus, maps, root / CORPUS_FILE)
     return corpus, maps
+
+
+def _check_corpus_maps(corpus, maps, source) -> None:
+    """Raises ``CorpusFormatError`` where a paragraph's map, start pose or binding is missing."""
+    for paragraph in corpus.paragraphs:
+        grid = maps.get(paragraph.map_id)
+        if grid is None:
+            raise CorpusFormatError(
+                f"{source}: paragraph {paragraph.id}: no map {paragraph.map_id!r} in the data dir"
+            )
+        for i, instr in enumerate(paragraph.instructions):
+            where = f"{source}: paragraph {paragraph.id}, instruction {i}"
+            try:
+                check_pose(grid, instr.start)
+            except InvalidPose as err:
+                raise CorpusFormatError(f"{where}: bad start pose: {err}") from None
+            for var, gid in instr.bindings:
+                try:
+                    grid.grounding(gid)
+                except KeyError:
+                    raise CorpusFormatError(
+                        f"{where}: binding {var}={gid} names nothing on map {grid.id}"
+                    ) from None
 
 
 def _seed(args) -> int:

@@ -5,10 +5,11 @@ actions over the 5-symbol alphabet, guided by additive attention over the
 encoder states. The CGAEW variant additionally feeds the world state at
 the current pose into both the attention scores and the decoder input.
 Training runs on the local autodiff kernel so gradients stay fully
-checkable. Training and the beam share one NumPy decoder step
+checkable. The training loss is two autodiff nodes: the encoder
+(``_encoder``, both directions in one loop) and the teacher-forced decoder
+(``_decoder_loss``). Training and the beam share one NumPy decoder step
 (``_step_rows``): the beam runs it on all its hypotheses at once, and the
-teacher-forced loss on one row per gold action inside one autodiff node
-(``_decoder_loss``).
+decoder node on one row per gold action.
 
 Weight layout note: the decoder input weight is stored as one block per
 input source (previous action embedding, attention context, world state).
@@ -193,20 +194,65 @@ class NavigationModel:
     def encode(self, token_ids: list[int], dropout_rng: np.random.Generator | None = None):
         """Per-token concatenated forward/backward recurrent states.
 
-        Returns (states matrix node (N x enc), attention projection node).
+        Returns (states node (N x enc), attention projection ``states @
+        att_Wh`` as an array). The states are one autodiff node (see
+        ``_encoder``); the projection's gradient is the decoder op's, which
+        takes ``att_Wh`` as a parent.
         """
         if not token_ids:
             raise ValueError("cannot encode an empty sentence")
-        p = self.params
-        x = ad.gather(p["tok_emb"], token_ids)
-        mask = self._dropout_mask(x.data.shape, dropout_rng)
+        mask = self._dropout_mask((len(token_ids), self.config.embed_dim), dropout_rng)
+        states = self._encoder(token_ids, mask)
+        return states, states.data @ self.params["att_Wh"].data
+
+    def _encoder(self, token_ids, mask) -> ad.Tensor:
+        """The embedding lookup, input dropout and both LSTM directions as one autodiff node.
+
+        Both directions run in one loop over stacked ``(2, ...)`` arrays:
+        direction 0 reads the sentence forwards, direction 1 backwards, and
+        row t of the result holds both states at token t. Every stacked
+        product is one ``np.matmul`` per direction, bit for bit the product
+        one direction alone takes. The backward pass runs both directions in
+        one loop too, takes each weight's gradient as one product over the
+        whole sequence and ends with one ``np.add.at`` into ``tok_emb``.
+        """
+        p = self.params.tensors
+        dirs = [[p[f"enc_{d}_{w}"] for w in ("Wx", "Wh", "b")] for d in ("fwd", "bwd")]
+        Wx, Wh, b = (np.stack([fwd.data, bwd.data]) for fwd, bwd in zip(*dirs))
+        x = p["tok_emb"].data[token_ids]
         if mask is not None:
-            x = ad.mul(x, ad.constant(mask))
-        fwd = ad.lstm(x, p["enc_fwd_Wx"], p["enc_fwd_Wh"], p["enc_fwd_b"])
-        bwd = ad.lstm(x, p["enc_bwd_Wx"], p["enc_bwd_Wh"], p["enc_bwd_b"], reverse=True)
-        states = ad.concat([fwd, bwd])
-        proj = ad.matmul(states, p["att_Wh"])
-        return states, proj
+            x = x * mask
+        xs = np.stack([x, x[::-1]])
+        zx = np.matmul(xs, Wx.transpose(0, 2, 1))
+        n, hidden = len(token_ids), Wh.shape[2]
+        acts = np.empty_like(zx)
+        hs = np.zeros((2, n + 1, hidden), dtype=zx.dtype)  # hs[:, t], cs[:, t]: state before row t
+        cs = np.zeros((2, n + 1, hidden), dtype=zx.dtype)
+        tanh_c = np.empty((2, n, hidden), dtype=zx.dtype)
+        for t in range(n):
+            z = zx[:, t] + np.matmul(Wh, hs[:, t, :, None])[..., 0]
+            z += b
+            acts[:, t], cs[:, t + 1], tanh_c[:, t], hs[:, t + 1] = ad._lstm_step(z, cs[:, t])
+
+        def bw(g):
+            dh_out = np.stack([g[:, :hidden], g[::-1, hidden:]])  # in each direction's order
+            dz = np.empty_like(acts)
+            dh_next = dc = 0.0
+            for t in range(n - 1, -1, -1):
+                dh = dh_out[:, t] + dh_next
+                dz[:, t], dc = ad._lstm_step_grads(acts[:, t], cs[:, t], tanh_c[:, t], dh, dc)
+                dh_next = np.matmul(Wh.transpose(0, 2, 1), dz[:, t, :, None])[..., 0]
+            dz_t = dz.transpose(0, 2, 1)
+            grads = (np.matmul(dz_t, xs), np.matmul(dz_t, hs[:, :-1]), dz.sum(axis=1))
+            for k, params in enumerate(dirs):
+                for param, grad in zip(params, grads):
+                    ad._acc(param, grad[k])
+            dx = np.matmul(dz, Wx)
+            dx = dx[0] + dx[1][::-1]  # both directions' gradients of each token's input
+            ad._acc_rows(p["tok_emb"], token_ids, dx if mask is None else dx * mask)
+
+        states = np.concatenate([hs[0, 1:], hs[1, 1:][::-1]], axis=-1)
+        return ad._make(states, (p["tok_emb"], *dirs[0], *dirs[1]), bw, "encoder")
 
     def _dropout_mask(self, shape, rng: np.random.Generator | None) -> np.ndarray | None:
         """An inverted-dropout mask of ``shape`` from ``rng``; None when nothing is dropped."""
@@ -292,9 +338,13 @@ class NavigationModel:
         The forward runs ``_step_rows`` on one row per gold action. The
         backward is backpropagation through time: the output layer and NLL
         for t = 0 ... T-1, then the cell and the attention for t = T-1 ... 0.
-        Float sums depend on their order, and every buffer receives its terms
-        in the order a graph of per-step nodes gets them from ``backward``,
-        so training is bit for bit that graph's (see README, Model family).
+        The node takes ``att_Wh`` as a parent: after the loop the gradient of
+        ``proj = states @ att_Wh`` goes to the states and to ``att_Wh``, and
+        each weight used at every step gets its outer-product terms as one
+        product. Float sums depend on their order, and every buffer receives
+        its terms in the order a graph of per-step nodes gets them from
+        ``backward``, so training is bit for bit that graph's (see README,
+        Model family).
         """
         cfg = self.config
         p = self.params.tensors
@@ -315,7 +365,7 @@ class NavigationModel:
         h = c = zeros
         steps = []
         for t in range(T):
-            step = self._step_rows(states.data, proj.data, h, c, emb_z[t : t + 1],
+            step = self._step_rows(states.data, proj, h, c, emb_z[t : t + 1],
                                    row(world_z, t), row(world_u, t), row(mask, t))
             steps.append(step)
             h, c = step.h, step.c
@@ -325,14 +375,22 @@ class NavigationModel:
         loss = np.asarray(total * (1.0 / T))
 
         def bw(g):
+            outer: dict[str, tuple[list, list]] = {}  # a weight's outer-product terms
+
+            def add_outer(name, a, b):
+                left, right = outer.setdefault(name, ([], []))
+                left.append(a)
+                right.append(b)
+
             g = g * (1.0 / T)
             dh = np.zeros((T, cfg.decoder_hidden), dtype=zeros.dtype)
+            dproj = np.zeros_like(proj)
             for t, (step, target) in enumerate(zip(steps, action_ids)):
                 dlogits = np.exp(step.logp[0])
                 dlogits[target] -= 1.0
                 dlogits = g * dlogits
                 ad._acc(p["out_b"], dlogits)
-                ad._acc_outer(p["out_W"], dlogits, step.out_in[0])
+                add_outer("out_W", dlogits, step.out_in[0])
                 dout = p["out_W"].data.T @ dlogits
                 dh[t] += dout if mask is None else dout * mask[t]
             dc = 0.0
@@ -340,11 +398,11 @@ class NavigationModel:
                 step = steps[t]
                 h_prev, c_prev = (steps[t - 1].h, steps[t - 1].c) if t else (zeros, zeros)
                 dz, dc = ad._lstm_step_grads(step.acts[0], c_prev[0], step.tanh_c[0], dh[t], dc)
-                ad._acc_outer(p["dec_W_emb"], dz, emb[t])
-                ad._acc_outer(p["dec_W_ctx"], dz, step.context[0])
+                add_outer("dec_W_emb", dz, emb[t])
+                add_outer("dec_W_ctx", dz, step.context[0])
                 if world is not None:
-                    ad._acc_outer(p["dec_W_world"], dz, world[t])
-                ad._acc_outer(p["dec_Wh"], dz, h_prev[0])
+                    add_outer("dec_W_world", dz, world[t])
+                add_outer("dec_Wh", dz, h_prev[0])
                 ad._acc(p["dec_b"], dz)
                 if t:
                     dh[t - 1] += p["dec_Wh"].data.T @ dz
@@ -358,17 +416,24 @@ class NavigationModel:
                 th = step.th[0]
                 ad._acc(p["att_v"], th.T @ dscores)
                 da = ad.corrupted("tanh", np.outer(dscores, p["att_v"].data)) * (1.0 - th * th)
-                ad._acc(proj, da)
+                dproj += da
                 du = da.sum(axis=0)
                 if world is not None:
-                    ad._acc_outer(p["att_Ww"], world[t], du)
+                    add_outer("att_Ww", world[t], du)
                 if t:
                     dh[t - 1] += p["att_Ws"].data @ du
-                ad._acc_outer(p["att_Ws"], h_prev[0], du)
+                add_outer("att_Ws", h_prev[0], du)
+            # the attention projection proj = states @ att_Wh
+            ad._acc(states, dproj @ p["att_Wh"].data.T)
+            ad._acc(p["att_Wh"], states.data.T @ dproj)
+            for name, (left, right) in outer.items():
+                ad._acc(p[name], np.stack(left, axis=1) @ np.stack(right))
 
-        weights = ["act_emb", "dec_W_emb", "dec_W_ctx", "dec_Wh", "dec_b", "att_Ws", "att_v",
-                   "out_W", "out_b"] + (["dec_W_world", "att_Ww"] if world is not None else [])
-        return ad._make(loss, (states, proj, *(p[n] for n in weights)), bw, "decoder")
+        weights = ["act_emb", "dec_W_emb", "dec_W_ctx", "dec_Wh", "dec_b", "att_Wh", "att_Ws",
+                   "att_v", "out_W", "out_b"]
+        if world is not None:
+            weights += ["dec_W_world", "att_Ww"]
+        return ad._make(loss, (states, *(p[n] for n in weights)), bw, "decoder")
 
     # -- beam search -------------------------------------------------------------
 
@@ -393,7 +458,7 @@ class NavigationModel:
             raise ValueError("beam_width must be >= 1")
         with ad.no_grad():
             states, proj = self.encode(self.vocab.encode(tokens))
-            return self._beam(states.data, proj.data, p0, grid, bindings, width)
+            return self._beam(states.data, proj, p0, grid, bindings, width)
 
     def world_vector(self, grid: GridMap, pose: Pose, bindings) -> np.ndarray | None:
         """The here||ahead world vector at ``pose`` in the model dtype; None for CGA/CGAE."""

@@ -21,13 +21,13 @@ from .abstraction import Lexicon, abstract, match_entities, tokenize
 from .corpus import Corpus, Instruction, Paragraph
 from .executor import (
     Action,
-    ExecutorError,
     Pose,
     TURN_ACTIONS,
     execute,
     pose_tile,
     route_to_actions,
     step,
+    successor,
 )
 from .worldmap import Entity, GridMap, Street, TileCoord, chebyshev
 
@@ -253,9 +253,8 @@ def _scan_targets(grid: GridMap, pose: Pose, lo: int, hi: int):
 def _feasible_turns(grid: GridMap, pose: Pose, min_runway: int) -> list[Action]:
     out = []
     for kind in TURN_ACTIONS:
-        try:
-            cand = step(grid, pose, kind)
-        except ExecutorError:
+        cand = successor(grid, pose, kind)
+        if cand is None:
             continue
         if cand.street_id != pose.street_id or kind is Action.TURN_AROUND:
             if _runway(grid, cand) >= min_runway:
@@ -423,10 +422,7 @@ class _SentencePlanner:
                     text = ("Then ", "Next, ")[self.rng.integers(0, 2)] + text[0].lower() + text[1:]
                 return text, actions
         # Fallback when nothing else fits: turn around and walk back a tile.
-        try:
-            after = step(self.grid, pose, Action.TURN_AROUND)
-        except ExecutorError:
-            after = None
+        after = successor(self.grid, pose, Action.TURN_AROUND)
         if after is not None and _runway(self.grid, after) >= 1:
             return "Turn around and walk one step.", [
                 Action.TURN_AROUND, Action.WALK, Action.END,

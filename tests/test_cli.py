@@ -105,6 +105,41 @@ def test_abstract_command(tmp_path, capsys):
     assert "<SHOP_1>" in out and "<STREET_1>" in out
 
 
+BROKEN_CORPORA = {
+    # case: (line number in corpus.txt, text on it, its replacement, the error after the path)
+    "unknown map": (2, "map=synth-1", "map=synth-9",
+                    "paragraph synth-1-p0000: no map 'synth-9' in the data dir"),
+    "unknown binding": (21, "<CAFE_1>=11", "<CAFE_1>=9999",
+                        "paragraph synth-1-p0000, instruction 2: "
+                        "binding <CAFE_1>=9999 names nothing on map synth-1"),
+    "bad start pose": (2, "start=(6,13,+1)", "start=(6,99,-1)",
+                       "paragraph synth-1-p0000, instruction 0: "
+                       "bad start pose: index 99 is off street 6 of length 18"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_CORPORA)
+def test_corpus_is_checked_against_its_maps(data_dir, tmp_path, capsys, case):
+    line_no, old, new, message = BROKEN_CORPORA[case]
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for map_path in data_dir.glob("*.map"):
+        (broken / map_path.name).write_bytes(map_path.read_bytes())
+    lines = (data_dir / "corpus.txt").read_text().splitlines(keepends=True)
+    assert old in lines[line_no - 1]
+    lines[line_no - 1] = lines[line_no - 1].replace(old, new)
+    (broken / "corpus.txt").write_text("".join(lines))
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(TINY_MODEL)
+    for argv in (["train", "--variant", "cga", "--out", str(tmp_path / "m.npz"),
+                  "--config", str(cfg)],
+                 ["evaluate", "--policy", "jump", "--report-dir", str(tmp_path / "rep")]):
+        assert main([*argv, "--data", str(broken)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {broken / 'corpus.txt'}: {message}\n"
+    assert not (tmp_path / "m.npz").exists() and not (tmp_path / "rep").exists()
+
+
 def test_usage_error_exits_nonzero(data_dir, capsys):
     code = main(["evaluate", "--data", str(data_dir), "--policy", "bogus"])
     assert code == 1

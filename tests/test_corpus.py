@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urbanav.corpus import (
     CorpusFormatError,
@@ -8,6 +12,7 @@ from urbanav.corpus import (
     save_corpus,
 )
 from urbanav.executor import execute, route_to_actions
+from urbanav.worldmap import MapFormatError, MapValidationError, format_map, parse_map
 
 
 def test_write_read_roundtrip_is_byte_identical(synth_small, tmp_path):
@@ -100,3 +105,51 @@ def test_parse_rejects_unknown_action_token_with_line():
     text = _one_instruction("(1,0,+1)", "(1,0,+1)", "WALK FLY END")
     with pytest.raises(CorpusFormatError, match=r"^corpus\.txt:9: unknown action token 'FLY'"):
         parse_corpus(text, source="corpus.txt")
+
+
+_EDIT_CHARS = "019-+(),;=\" _<>x"
+_FREE_TEXT = ("TEXT ", "TOKENS ", "ABSTRACT ")
+
+
+def _mutate(text: str, rnd) -> str:
+    """``text`` after one or two random line edits; a character edit skips free-text lines."""
+    lines = text.split("\n")
+    for _ in range(rnd.randint(1, 2)):
+        kind = rnd.choice(["delete", "duplicate", "swap", "replace", "insert", "truncate"])
+        if kind in ("delete", "duplicate", "swap"):
+            i = rnd.randrange(len(lines))
+        else:
+            i = rnd.choice([k for k, line in enumerate(lines) if not line.startswith(_FREE_TEXT)])
+        line = lines[i]
+        j = rnd.randrange(len(line) + 1)
+        if kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, line)
+        elif kind == "swap":
+            k = rnd.randrange(len(lines))
+            lines[i], lines[k] = lines[k], line
+        elif kind == "replace":
+            lines[i] = line[:j] + rnd.choice(_EDIT_CHARS) + line[j + 1 :]
+        elif kind == "insert":
+            lines[i] = line[:j] + rnd.choice(_EDIT_CHARS) + line[j:]
+        elif kind == "truncate":
+            lines[i] = line[:j]
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_mutated_map_and_corpus_parse_or_raise_their_format_errors(synth_small, rnd):
+    """Edited lines of a formatted synth map and corpus never escape as another exception."""
+    maps, corpus = synth_small
+    grid = maps[min(maps)]
+    paragraphs = tuple(p for p in corpus.paragraphs if p.map_id == grid.id)[:3]
+    try:
+        parse_map(_mutate(format_map(grid), rnd))
+    except (MapFormatError, MapValidationError):
+        pass
+    try:
+        parse_corpus(_mutate(format_corpus(replace(corpus, paragraphs=paragraphs)), rnd))
+    except CorpusFormatError:
+        pass

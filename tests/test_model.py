@@ -128,7 +128,7 @@ def step_inputs(model, prev_ids, worlds):
 def encoded(model, token_ids):
     with ad.no_grad():
         states, proj = model.encode(token_ids)
-    return states.data, proj.data
+    return states.data, proj
 
 
 def test_attention_singleton_weight_is_one():
