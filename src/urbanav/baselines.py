@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Corpus, Instruction
 from .evaluator import Policy
-from .executor import Action, Pose, TURN_ACTIONS, pose_tile, step, successor, walk_successor
+from .executor import Action, Pose, TURN_ACTIONS, pose_tile, successor
 from .worldmap import GridMap, TileCoord
 
 JUMP_STEP_BUDGET = 200
@@ -88,23 +88,21 @@ def jump(
             if here in targets:
                 break
             here_d = dist.get(here)
+            # (hops after the move, action order, action, pose after the action)
             options: list[tuple[int, int, Action, Pose]] = []
-            succ = walk_successor(grid, pose)
-            if succ is not None and succ in dist:
-                options.append((dist[succ], 0, Action.WALK, None))
+            walked = successor(grid, pose, Action.WALK)
+            if walked is not None and pose_tile(grid, walked) in dist:
+                options.append((dist[pose_tile(grid, walked)], 0, Action.WALK, walked))
             for order, kind in enumerate(TURN_ACTIONS, start=1):
                 cand = successor(grid, pose, kind)
-                if cand is None:
-                    continue
-                after = walk_successor(grid, cand)
-                if after is not None and after in dist:
-                    options.append((dist[after], order, kind, cand))
+                after = None if cand is None else successor(grid, cand, Action.WALK)
+                if after is not None and pose_tile(grid, after) in dist:
+                    options.append((dist[pose_tile(grid, after)], order, kind, cand))
             best = min(options, default=None)
             if best is not None and (here_d is None or best[0] < here_d):
-                d, _, action, cand = best
+                _, _, action, pose = best
                 actions.append(action)
-                pose = cand if action is not Action.WALK else step(grid, pose, Action.WALK)
-            elif walk_successor(grid, pose) is None:
+            elif walked is None:
                 turn = TURN_ACTIONS[rng.integers(0, 3)]
                 turned = successor(grid, pose, turn)
                 if turned is None:
@@ -112,7 +110,7 @@ def jump(
                 pose = turned
                 actions.append(turn)
             else:
-                pose = step(grid, pose, Action.WALK)
+                pose = walked
                 actions.append(Action.WALK)
     actions.append(Action.END)
     return actions

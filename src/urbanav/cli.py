@@ -20,7 +20,7 @@ from .abstraction import Lexicon, abstract, match_entities, tokenize
 from .baselines import jump_factory, no_move_factory, random_factory
 from .configfile import ConfigError, apply_overrides, default_seed, load_config
 from .corpus import CorpusFormatError, load_corpus, save_corpus
-from .evaluator import SuccessPredicateConfig, run_protocol
+from .evaluator import run_protocol
 from .executor import ExecutionError, InvalidPose, Pose, check_pose, execute, parse_actions
 from .model import ModelConfig, VARIANTS
 from .synth import SynthSpec, corpus_stats, generate
@@ -83,15 +83,16 @@ def _overrides(args) -> dict:
 
 
 def _parse_pose_arg(text: str) -> Pose:
-    parts = text.strip("()").split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--start must look like (street,index,dir), got {text!r}")
-    return Pose(int(parts[0]), int(parts[1]), int(parts[2]))
+    try:
+        street_id, index, travel_dir = (int(p) for p in text.strip("()").split(","))
+    except ValueError:
+        raise ConfigError(f"--start must look like (street,index,dir), got {text!r}") from None
+    return Pose(street_id, index, travel_dir)
 
 
 def cmd_synth(args) -> int:
     spec = SynthSpec.run_shape() if args.preset == "run-shape" else SynthSpec.default()
-    spec = apply_overrides(spec, _overrides(args))
+    spec = apply_overrides(spec, _overrides(args), {"seed": "--seed"})
     spec = replace(spec, seed=_seed(args))
     maps, corpus = generate(spec)
     out = Path(args.out)
@@ -139,7 +140,7 @@ def cmd_abstract(args) -> int:
 
 def _model_config(args, seed: int) -> ModelConfig:
     config = ModelConfig(variant=args.variant.upper(), seed=seed)
-    return apply_overrides(config, _overrides(args))
+    return apply_overrides(config, _overrides(args), {"seed": "--seed", "variant": "--variant"})
 
 
 def cmd_train(args) -> int:
@@ -166,32 +167,41 @@ def cmd_train(args) -> int:
 
 
 def _policy_factory(name: str, args):
+    """(policy factory, model variant or "", the config values set by --config)."""
     if name in BASELINES:
         if args.config:
             raise ConfigError(f"--config has no effect on the {name!r} policy")
-        return BASELINES[name], name, ""
+        return BASELINES[name], "", {}
     variant = name.upper()
     if variant not in VARIANTS:
         raise ConfigError(f"unknown policy {name!r}")
-    config = apply_overrides(ModelConfig(variant=variant), _overrides(args))
-    return VariantPolicyFactory(config), name, variant
+    overrides = _overrides(args)
+    config = apply_overrides(ModelConfig(variant=variant), overrides,
+                             {"seed": "--seeds", "variant": "--policy"})
+    echo = {key: getattr(config, key) for key in overrides}
+    return VariantPolicyFactory(config), config.variant, echo
 
 
 def cmd_evaluate(args) -> int:
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--seeds must be comma-separated integers, got {args.seeds!r}"
+        ) from None
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     corpus, maps = _load_data_dir(args.data)
-    factory, name, variant = _policy_factory(args.policy, args)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    overrides = _overrides(args)
-    predicate = SuccessPredicateConfig()
+    name = args.policy
+    factory, variant, echo = _policy_factory(name, args)
     report = run_protocol(
         corpus,
         maps,
         factory,
-        cfg=predicate,
         seeds=seeds,
         policy_name=name,
         variant=variant,
-        config_echo={"seeds": list(seeds), **overrides},
+        config_echo={"seeds": list(seeds), **echo},
         n_jobs=args.jobs,
     )
     report_dir = Path(args.report_dir or Path(args.data) / "reports" / name)

@@ -1,21 +1,26 @@
 """Flat key=value config files shared by the CLI subcommands.
 
-One assignment per line, ``#`` starts a comment. Values parse as int,
-float, or bool when they look like one, else stay strings. Unknown keys
-are a caller-side contract violation, reported with the offending key.
+One assignment per line, ``#`` starts a comment. A value stays text until
+``apply_overrides`` parses it with the type of the dataclass field its key
+sets: int, float or str. An unknown key, a key a command-line flag owns, a
+field of another type (a flat file cannot express a dict or a tuple), or a
+value that does not parse raises ``ConfigError`` naming the key, as does
+a key set twice.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    out: dict[str, object] = {}
+def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
+    out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -24,42 +29,43 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if not sep:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key = key.strip()
-        value = value.strip()
         if not key:
             raise ConfigError(f"{source}:{lineno}: empty key")
-        out[key] = _coerce(value)
+        if key in out:
+            raise ConfigError(f"{source}:{lineno}: config key {key!r} is set twice")
+        out[key] = value.strip()
     return out
 
 
-def load_config(path) -> dict:
+def load_config(path) -> dict[str, str]:
     with open(path, encoding="utf-8") as fh:
         return parse_config_text(fh.read(), source=str(path))
 
 
-def _coerce(value: str):
-    low = value.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
-    return value
+def apply_overrides(defaults, overrides: dict[str, str], flag_keys: dict[str, str]):
+    """A copy of the dataclass ``defaults`` with each key set from its raw text.
 
-
-def apply_overrides(defaults, overrides: dict):
-    """Returns a dataclass copy updated with override keys; rejects unknowns."""
-    from dataclasses import fields, replace
-
+    ``flag_keys`` maps the keys a command-line flag owns to that flag; they
+    are rejected, as are unknown keys and fields that are not int, float or str.
+    """
     known = {f.name for f in fields(defaults)}
     bad = [k for k in overrides if k not in known]
     if bad:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(bad))}")
-    return replace(defaults, **overrides)
+    types = get_type_hints(type(defaults))
+    values = {}
+    for key, raw in overrides.items():
+        where = f"config key {key!r}"
+        if key in flag_keys:
+            raise ConfigError(f"{where} is set by {flag_keys[key]}, not in a config file")
+        parse = types[key]
+        if parse not in (int, float, str):
+            raise ConfigError(f"{where} cannot be set in a flat config file")
+        try:
+            values[key] = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: {raw!r} does not parse as {parse.__name__}") from None
+    return replace(defaults, **values)
 
 
 def default_seed() -> int:

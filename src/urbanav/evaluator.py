@@ -226,7 +226,7 @@ def evaluate_policy_on_map(
 
 
 def _fold_task(args) -> FoldResult:
-    corpus, maps, plan, seed, cfg, policy_factory = args
+    corpus, maps, plan, seed, policy_factory = args
     test_paragraphs = [p for p in corpus.paragraphs if p.map_id == plan.test_map]
     if not test_paragraphs:
         raise ValueError(f"fold {plan.test_map}: no test paragraphs")
@@ -234,7 +234,7 @@ def _fold_task(args) -> FoldResult:
     policy = policy_factory(seed)
     policy.fit(train_corpus, maps, seed)
     sent_acc, para_acc, n_sent, n_para = evaluate_policy_on_map(
-        policy, maps[plan.test_map], test_paragraphs, cfg
+        policy, maps[plan.test_map], test_paragraphs, SuccessPredicateConfig()
     )
     return FoldResult(plan.test_map, n_sent, n_para, sent_acc, para_acc, seed)
 
@@ -243,14 +243,14 @@ def run_protocol(
     corpus: Corpus,
     maps: dict[str, GridMap],
     policy_factory,
-    cfg: SuccessPredicateConfig | None = None,
     seeds: tuple[int, ...] = (0,),
     policy_name: str = "",
     variant: str = "",
     config_echo: dict | None = None,
     n_jobs: int = 1,
 ) -> Report:
-    """Three-fold map-level protocol with size-weighted averaging.
+    """Three-fold map-level protocol with size-weighted averaging, scored by the
+    default ``SuccessPredicateConfig``.
 
     ``policy_factory(seed)`` must return a fresh Policy; learned policies
     train inside ``fit`` on the fold's train split. With ``n_jobs > 1`` the
@@ -260,10 +260,9 @@ def run_protocol(
     """
     from . import __version__
 
-    cfg = cfg or SuccessPredicateConfig()
     folds = make_folds(sorted(maps))
     tasks = [
-        (corpus, maps, plan, seed, cfg, policy_factory)
+        (corpus, maps, plan, seed, policy_factory)
         for seed in seeds
         for plan in folds
     ]

@@ -104,11 +104,6 @@ def pose_tile(grid: GridMap, pose: Pose) -> TileCoord:
     return grid.street(pose.street_id).tiles[pose.index]
 
 
-def walk_successor(grid: GridMap, pose: Pose) -> TileCoord | None:
-    nxt = successor(grid, pose, Action.WALK)
-    return None if nxt is None else pose_tile(grid, nxt)
-
-
 def pose_bearing(grid: GridMap, pose: Pose) -> float:
     """Facing direction of a pose, in compass degrees.
 
@@ -273,19 +268,20 @@ def route_to_actions(grid: GridMap, p0: Pose, route: Route) -> list[Action]:
     for i, target in enumerate(route.tiles[1:], start=1):
         if target == pose_tile(grid, pose):
             continue
-        if walk_successor(grid, pose) == target:
-            pose = step(grid, pose, Action.WALK)
+        walked = successor(grid, pose, Action.WALK)
+        if walked is not None and pose_tile(grid, walked) == target:
+            pose = walked
             actions.append(Action.WALK)
             continue
         options: list[tuple[float, int, Action, Pose]] = []
         for order, kind in enumerate(TURN_ACTIONS):
             cand = successor(grid, pose, kind)
-            if cand is not None and walk_successor(grid, cand) == target:
-                options.append((_turn_cost(grid, pose, cand, kind), order, kind, cand))
+            after = None if cand is None else successor(grid, cand, Action.WALK)
+            if after is not None and pose_tile(grid, after) == target:
+                options.append((_turn_cost(grid, pose, cand, kind), order, kind, after))
         if not options:
             raise UnreachableStep(i, pose_tile(grid, pose), target)
-        cost, _, kind, cand = min(options, key=lambda o: (o[0], o[1]))
-        pose = step(grid, cand, Action.WALK)
+        _, _, kind, pose = min(options, key=lambda o: (o[0], o[1]))
         actions += [kind, Action.WALK]
     actions.append(Action.END)
     return actions

@@ -588,34 +588,34 @@ class NavigationModel:
 
     @classmethod
     def load(cls, path) -> "NavigationModel":
-        archive = np.load(path, allow_pickle=False)
-        if "__header__" not in archive:
-            raise ValueError(f"{path}: not a model checkpoint")
-        header = json.loads(str(archive["__header__"]))
-        if header.get("format") != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {header.get('format')!r}")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-        config = ModelConfig(**header["config"])
-        vocab = Vocabulary(header["vocab"])
-        layout = None
-        if header["world_layout"]:
-            layout = WorldStateLayout(
-                types=tuple(header["world_layout"]["types"]),
-                slots_per_type=header["world_layout"]["slots_per_type"],
-            )
-        model = cls(config, vocab, layout)
-        for k, t in model.params.items():
-            key = f"param/{k}"
-            if key not in archive:
-                raise ValueError(
-                    f"{path}: checkpoint has no array {key!r} (expected shape {t.data.shape})"
+        with np.load(path, allow_pickle=False) as archive:
+            if "__header__" not in archive:
+                raise ValueError(f"{path}: not a model checkpoint")
+            header = json.loads(str(archive["__header__"]))
+            if header.get("format") != CHECKPOINT_MAGIC:
+                raise ValueError(f"{path}: bad checkpoint magic {header.get('format')!r}")
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
+            config = ModelConfig(**header["config"])
+            vocab = Vocabulary(header["vocab"])
+            layout = None
+            if header["world_layout"]:
+                layout = WorldStateLayout(
+                    types=tuple(header["world_layout"]["types"]),
+                    slots_per_type=header["world_layout"]["slots_per_type"],
                 )
-            value = archive[key]
-            if value.shape != t.data.shape:
-                raise ValueError(
-                    f"{path}: array {key!r} has shape {value.shape}, expected {t.data.shape}"
-                )
-            t.data[...] = value
+            model = cls(config, vocab, layout)
+            for k, t in model.params.items():
+                key = f"param/{k}"
+                if key not in archive:
+                    raise ValueError(
+                        f"{path}: checkpoint has no array {key!r} (expected shape {t.data.shape})"
+                    )
+                value = archive[key]
+                if value.shape != t.data.shape:
+                    raise ValueError(
+                        f"{path}: array {key!r} has shape {value.shape}, expected {t.data.shape}"
+                    )
+                t.data[...] = value
         return model
 

@@ -159,8 +159,6 @@ def train(
     train_instructions: list[tuple[Instruction, GridMap]],
     val_instructions: list[tuple[Instruction, GridMap]],
     config: ModelConfig,
-    layout: WorldStateLayout | None = None,
-    vocab: Vocabulary | None = None,
 ) -> tuple[NavigationModel, list[EpochLog]]:
     """Trains one variant; returns the lowest-validation-NLL model and the logs.
 
@@ -170,10 +168,8 @@ def train(
     the kept one. With no validation examples every epoch runs and the final
     weights are kept.
     """
-    if config.uses_world and layout is None:
-        layout = WorldStateLayout(slots_per_type=config.slots_per_type)
-    if vocab is None:
-        vocab = build_vocabulary([i for i, _ in train_instructions], config)
+    layout = WorldStateLayout(slots_per_type=config.slots_per_type) if config.uses_world else None
+    vocab = build_vocabulary([i for i, _ in train_instructions], config)
     model = NavigationModel(config, vocab, layout)
     train_ex = [build_example(i, g, model) for i, g in train_instructions]
     val_ex = [build_example(i, g, model) for i, g in val_instructions]

@@ -24,8 +24,6 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:
     from .executor import Action, Pose
 
-TILE_SIZE_M = 11.132
-
 # Closed inventory, loosely following OSM tag conventions. "street" covers
 # named walkable ways; "other" is the sink for unknown types in files.
 ENTITY_TYPES: tuple[str, ...] = (
@@ -121,12 +119,10 @@ class GridMap:
         height: int,
         entities: Iterable[Entity] = (),
         streets: Iterable[Street] = (),
-        tile_size_m: float = TILE_SIZE_M,
     ):
         self.id = map_id
         self.width = int(width)
         self.height = int(height)
-        self.tile_size_m = float(tile_size_m)
         self.entities: tuple[Entity, ...] = tuple(entities)
         self.streets: tuple[Street, ...] = tuple(streets)
         self._validate()
@@ -315,25 +311,19 @@ class GridMap:
             out.append(street.tiles[i])
         return out
 
-    def tile_center_m(self, t: TileCoord) -> tuple[float, float]:
-        """Geometric tile center as (east, north) meters. Row 0 is northmost."""
-        east = (t.col + 0.5) * self.tile_size_m
-        north = -(t.row + 0.5) * self.tile_size_m
-        return east, north
-
     def bearing(self, street: Street, index: int, direction: int) -> float:
         """Compass angle in [0, 360) from tile ``index`` toward ``index+direction``.
 
-        0 = north (decreasing row), 90 = east.
+        0 = north (decreasing row), 90 = east. Taken from the tile step, so
+        every street bearing is an exact multiple of 45 degrees.
         """
         j = index + direction
         if not 0 <= j < len(street.tiles) or not 0 <= index < len(street.tiles):
             raise ValueError(
                 f"street {street.id}: no successor at index {index} in direction {direction:+d}"
             )
-        e0, n0 = self.tile_center_m(street.tiles[index])
-        e1, n1 = self.tile_center_m(street.tiles[j])
-        return math.degrees(math.atan2(e1 - e0, n1 - n0)) % 360.0
+        a, b = street.tiles[index], street.tiles[j]
+        return math.degrees(math.atan2(b.col - a.col, a.row - b.row)) % 360.0
 
 
 # -- file format ------------------------------------------------------------

@@ -34,6 +34,26 @@ def plus_map() -> GridMap:
     )
 
 
+def crossing_map(col: int, row: int) -> GridMap:
+    """At (col, row) on a 40x40 grid, a north-south street (1) crosses two diagonals.
+
+    Each street has three tiles with the crossing in the middle, so pose
+    ``(sid, 1, +1)`` faces north (1), north-east (2) or south-east (3).
+    """
+
+    def through(sid: int, dc: int, dr: int) -> Street:
+        tiles = (TileCoord(col - dc, row - dr), TileCoord(col, row), TileCoord(col + dc, row + dr))
+        return Street(id=sid, tiles=tiles)
+
+    streets = [through(1, 0, -1), through(2, 1, -1), through(3, 1, 1)]
+    return GridMap("crossing", 40, 40, streets=streets)
+
+
+# Every crossing position whose three streets fit on the 40x40 grid with a
+# margin of one tile: 36 x 36 = 1296 of them.
+CROSSING_POSITIONS = [(c, r) for c in range(2, 38) for r in range(2, 38)]
+
+
 @pytest.fixture
 def straight():
     return straight_map()

@@ -13,6 +13,10 @@ import math
 from urbanav.executor import Action, Pose
 from urbanav.worldmap import GridMap
 
+# Metres per tile side. Any positive scale cancels exactly in the angle of an
+# 8-neighbour step; the oracle keeps one to stay a geometric computation.
+TILE_SIDE_M = 11.132
+
 
 def _tile(grid: GridMap, pose: Pose):
     for street in grid.streets:
@@ -21,10 +25,10 @@ def _tile(grid: GridMap, pose: Pose):
     raise KeyError(pose.street_id)
 
 
-def _segment_bearing(grid, a, b) -> float:
+def _segment_bearing(a, b) -> float:
     # unit circle with 0 = north, clockwise positive
-    de = (b.col - a.col) * grid.tile_size_m
-    dn = (a.row - b.row) * grid.tile_size_m
+    de = (b.col - a.col) * TILE_SIDE_M
+    dn = (a.row - b.row) * TILE_SIDE_M
     ang = math.atan2(de, dn) * 180.0 / math.pi
     while ang < 0:
         ang += 360.0
@@ -39,9 +43,9 @@ def _facing(grid: GridMap, pose: Pose) -> float:
             continue
         nxt = pose.index + pose.travel_dir
         if 0 <= nxt < len(street.tiles):
-            return _segment_bearing(grid, street.tiles[pose.index], street.tiles[nxt])
+            return _segment_bearing(street.tiles[pose.index], street.tiles[nxt])
         prev = pose.index - pose.travel_dir
-        back = _segment_bearing(grid, street.tiles[pose.index], street.tiles[prev])
+        back = _segment_bearing(street.tiles[pose.index], street.tiles[prev])
         return (back + 180.0) % 360.0
     raise KeyError(pose.street_id)
 
@@ -75,7 +79,7 @@ def naive_step(grid: GridMap, pose: Pose, action: Action) -> Pose | None:
                 continue
             for d in (1, -1):
                 if 0 <= idx + d < len(street.tiles):
-                    bearing = _segment_bearing(grid, t, street.tiles[idx + d])
+                    bearing = _segment_bearing(t, street.tiles[idx + d])
                     rel = _wrap(bearing - heading)
                     dist = abs(_wrap(rel - target))
                     candidates.append(

@@ -154,6 +154,95 @@ def test_unknown_config_key_rejected(data_dir, tmp_path, capsys):
     assert "not_a_real_key" in capsys.readouterr().err
 
 
+def _config_argv(command, data_dir, tmp_path, cfg):
+    out = tmp_path / "out"
+    return {
+        "synth": ["synth", "--out", str(out), "--config", str(cfg)],
+        "train": ["train", "--data", str(data_dir), "--out", str(out), "--config", str(cfg)],
+        "evaluate": ["evaluate", "--data", str(data_dir), "--policy", "cgaew",
+                     "--config", str(cfg), "--report-dir", str(out)],
+    }[command], out
+
+
+BAD_CONFIGS = [
+    # (command, config line, text the error must contain)
+    ("synth", "seed = 7", "--seed"),
+    ("train", "seed = 7", "--seed"),
+    ("evaluate", "seed = 7", "--seeds"),
+    ("train", "variant = CGA", "--variant"),
+    ("evaluate", "variant = CGA", "--policy"),
+    ("synth", "entity_counts = 3", "cannot be set"),
+    ("synth", "templates = walk_until_signal", "cannot be set"),
+    ("synth", "train_names = a", "cannot be set"),
+    ("synth", "unseen_names = a", "cannot be set"),
+    ("synth", "grid_size = big", "'big' does not parse as int"),
+    ("train", "learning_rate = fast", "'fast' does not parse as float"),
+    ("evaluate", "dropout_keep = most", "'most' does not parse as float"),
+    ("synth", "grid_size = 18.5", "'18.5' does not parse as int"),
+    ("train", "epochs = 1.5", "'1.5' does not parse as int"),
+    ("evaluate", "epochs = 1.5", "'1.5' does not parse as int"),
+    ("synth", "grid_size = 18\nrows = 3\ngrid_size = 20",
+     "bad.cfg:3: config key 'grid_size' is set twice"),
+]
+
+
+@pytest.mark.parametrize("command,line,expected", BAD_CONFIGS,
+                         ids=[f"{c}:{line.replace(' = ', '=').replace(chr(10), ';')}"
+                              for c, line, _ in BAD_CONFIGS])
+def test_bad_config_value_or_key_names_the_key(data_dir, tmp_path, capsys,
+                                               command, line, expected):
+    """A key a flag owns, a field a flat file cannot express, a value its field
+    cannot parse, or a key set twice exits 1 with an error naming the key;
+    nothing is written."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    argv, out = _config_argv(command, data_dir, tmp_path, cfg)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    key = line.split("=")[0].strip()
+    assert err.startswith("error: ") and f"config key {key!r}" in err and expected in err
+    assert not out.exists()
+
+
+def test_evaluate_reports_the_variant_it_trained(data_dir, tmp_path, monkeypatch):
+    import urbanav.training as training
+
+    trained = []
+    real_train = training.train
+
+    def recording_train(train_pairs, val_pairs, config):
+        trained.append(config.variant)
+        return real_train(train_pairs, val_pairs, config)
+
+    monkeypatch.setattr(training, "train", recording_train)
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(TINY_MODEL + "dropout_keep = 1\n")
+    out = tmp_path / "rep"
+    assert main(["evaluate", "--data", str(data_dir), "--policy", "cga",
+                 "--config", str(cfg), "--report-dir", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert trained == ["CGA", "CGA"]  # one fit per fold
+    assert payload["variant"] == "CGA"
+    assert payload["config"] == {"seeds": [0], "embed_dim": 8, "encoder_hidden": 8,
+                                 "decoder_hidden": 8, "epochs": 1, "beam_width": 2,
+                                 "dropout_keep": 1.0}
+
+
+@pytest.mark.parametrize("argv,flag,text", [
+    (["simulate", "--map", "m.map", "--start", "(a,1,1)", "--actions", "END"], "--start", "(a,1,1)"),
+    (["simulate", "--map", "m.map", "--start", "(1,1)", "--actions", "END"], "--start", "(1,1)"),
+    (["evaluate", "--data", "d", "--policy", "no-move", "--seeds", "0,x"], "--seeds", "0,x"),
+    (["evaluate", "--data", "d", "--policy", "no-move", "--jobs", "0"], "--jobs", "0"),
+    (["evaluate", "--data", "d", "--policy", "no-move", "--jobs", "-2"], "--jobs", "-2"),
+], ids=["start-text", "start-two-parts", "seeds-text", "jobs-0", "jobs-negative"])
+def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, argv, flag, text):
+    monkeypatch.chdir(tmp_path)
+    save_map(plus_map(), tmp_path / "m.map")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and text in err
+
+
 def test_evaluate_no_move_writes_reports(data_dir, capsys):
     report_dir = data_dir / "reports" / "no-move"
     code = main(["evaluate", "--data", str(data_dir), "--policy", "no-move",

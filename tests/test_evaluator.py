@@ -15,12 +15,25 @@ from urbanav.evaluator import (
     split_paragraphs,
     weighted_average,
 )
-from urbanav.executor import Action, Pose, execute
+from urbanav.executor import Action, Pose, Route, execute
 from urbanav.worldmap import TileCoord
 
+from conftest import CROSSING_POSITIONS, crossing_map
 from test_executor import sample_route
 
 CFG = SuccessPredicateConfig()
+
+
+def test_heading_45_degrees_off_passes_at_every_position():
+    """The 45-degree heading tolerance admits a diagonal next to the gold heading,
+    and only that, wherever the crossing is."""
+    facing = {Pose(2, 1, 1): True, Pose(3, 1, -1): True, Pose(3, 1, 1): False}  # NE, NW, SE
+    for col, row in CROSSING_POSITIONS:
+        grid = crossing_map(col, row)
+        here = (TileCoord(col, row),)
+        gold = Route(here, Pose(1, 1, 1))  # facing north
+        for pose, ok in facing.items():
+            assert sentence_success(grid, Route(here, pose), gold, CFG) is ok, (col, row, pose)
 
 
 def test_identical_routes_succeed(straight):

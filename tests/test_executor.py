@@ -18,13 +18,12 @@ from urbanav.executor import (
     route_to_actions,
     step,
     successor,
-    walk_successor,
 )
 from urbanav.synth import SynthSpec, generate_map
 from urbanav.worldmap import GridMap, Street, TileCoord
 from urbanav.worldstate import WorldStateLayout, compute as compute_world
 
-from conftest import random_pose
+from conftest import CROSSING_POSITIONS, crossing_map, random_pose
 from naive_executor import naive_execute, naive_step
 
 MOVES = (Action.WALK, Action.TURN_LEFT, Action.TURN_RIGHT, Action.TURN_AROUND)
@@ -99,6 +98,16 @@ def test_turn_left_at_plus_crossing(plus):
     pose = Pose(1, 3, -1)
     turned = step(plus, pose, Action.TURN_LEFT)
     assert turned.street_id == 2 and turned.travel_dir == -1
+
+
+def test_turn_between_two_diagonals_is_the_same_at_every_position():
+    """Facing north, a north-east and a south-east street both lie 45 degrees from
+    TURN_RIGHT's target; the smaller |angle| (north-east) wins wherever the crossing is."""
+    north, north_east = Pose(1, 1, 1), Pose(2, 1, 1)
+    for col, row in CROSSING_POSITIONS:
+        grid = crossing_map(col, row)
+        assert successor(grid, north, Action.TURN_RIGHT) == north_east, (col, row)
+        assert naive_step(grid, north, Action.TURN_RIGHT) == north_east
 
 
 def test_turn_requires_candidate_within_window(straight):
@@ -300,7 +309,7 @@ def test_out_of_range_pose_raises_invalid_pose():
             with pytest.raises(InvalidPose, match=f"index {pose.index} is off street 1 of length {n}"):
                 step(grid, pose, action)
         with pytest.raises(InvalidPose):
-            walk_successor(grid, pose)
+            successor(grid, pose, Action.WALK)
     with pytest.raises(InvalidPose, match="no street 999"):
         step(grid, Pose(999, 0, 1), Action.WALK)
     with pytest.raises(InvalidPose, match="travel direction 0"):

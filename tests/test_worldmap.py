@@ -20,6 +20,7 @@ from urbanav.worldmap import (
 )
 
 from conftest import random_pose, straight_map
+from naive_executor import _segment_bearing
 
 MINIMAL = """\
 MAP tiny 3 3
@@ -245,6 +246,22 @@ def test_bearing_diagonal():
     tiles = (TileCoord(0, 4), TileCoord(1, 3), TileCoord(2, 2))
     grid = GridMap("diag", 5, 5, streets=[Street(id=1, tiles=tiles)])
     assert grid.bearing(grid.streets[0], 0, 1) == pytest.approx(45.0)
+
+
+STEP_BEARINGS = {(0, -1): 0.0, (1, -1): 45.0, (1, 0): 90.0, (1, 1): 135.0,
+                 (0, 1): 180.0, (-1, 1): 225.0, (-1, 0): 270.0, (-1, -1): 315.0}
+
+
+def test_each_step_has_its_exact_bearing_at_every_position():
+    """A bearing comes from the tile step alone, so it is the same float at every tile."""
+    steps = [(TileCoord(c, r), TileCoord(c + dc, r + dr))
+             for c in range(1, 39) for r in range(1, 39) for dc, dr in STEP_BEARINGS]
+    grid = GridMap("steps", 40, 40, streets=[Street(id=i, tiles=t) for i, t in enumerate(steps)])
+    for street in grid.streets:
+        a, b = street.tiles
+        expected = STEP_BEARINGS[(b.col - a.col, b.row - a.row)]
+        assert grid.bearing(street, 0, 1) == expected == _segment_bearing(a, b), street
+        assert grid.bearing(street, 1, -1) == (expected + 180.0) % 360.0, street
 
 
 def test_bearing_reversal_symmetry(synth_small):
