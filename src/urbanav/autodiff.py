@@ -1,59 +1,42 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""The LSTM cell, its gradients and the loss tensor that carries its own backward pass.
 
-Just enough machinery for small recurrent networks: nodes hold a value, an
-accumulated gradient, parent references, and a backward rule tag. The
-backward pass walks the graph in reverse topological order exactly once.
-Gradients accumulate into parent buffers in place, so embedding-row updates
-stay sparse. A module-level grad switch lets inference build no graph at all.
+The model's loss has a shape fixed when the code is written: the encoder
+feeds the teacher-forced decoder. So there is no graph and no walk. A
+training step is two explicit calls, ``loss = model.sentence_loss(...)``
+then ``backward(loss)``: the loss ``Tensor`` holds a ``backward_fn`` that
+runs the decoder's backpropagation through time and then the encoder's,
+each writing its terms into the parameters' ``grad`` buffers in place.
+Forward-only callers (the beam, the validation loss, finite differences)
+call the forward and never the backward.
 
-The kernel defines no generic ops. A model builds a few fused nodes with
-``_make`` from the helpers here (the LSTM cell and its gradients, ``_acc``
-and ``_acc_rows``): ``NavigationModel.sentence_loss`` is two nodes, the
-encoder and the teacher-forced decoder, each running its own NumPy forward
-and backpropagation through time.
+``backward(loss, corrupt_rule=...)`` publishes a rule name for the length
+of the pass, and each backward passes the gradient of its named inner
+rules through ``corrupted`` (the encoder's incoming gradient, the
+decoder's attention ``tanh``); tests use this to prove the finite
+difference check actually catches a broken rule.
 
-``backward(root, corrupt_rule=...)`` mis-scales the gradient entering every
-node with the named rule tag, and, through ``corrupted``, an inner rule of
-that name inside a fused op (the decoder's attention ``tanh``); tests use
-this to prove the finite difference check actually catches a broken rule.
+``Tensor``, ``constant`` and ``backward`` keep these names because the
+benchmark's tracer (``perfbench/``) wraps or calls them.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
-_GRAD_ENABLED = True
 # (rule, scale) of the running ``backward`` pass; see ``corrupted``
 _CORRUPT: tuple[str | None, float] = (None, 1.0)
 
 
-@contextmanager
-def no_grad():
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
-
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "backward_fn", "rule", "requires_grad")
+    """An array and its gradient buffer; a loss also holds the function that runs its backward."""
 
-    def __init__(self, data, requires_grad: bool = False, rule: str = "leaf"):
+    __slots__ = ("data", "grad", "backward_fn", "requires_grad")
+
+    def __init__(self, data, requires_grad: bool = False, backward_fn=None):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
-        self.parents: tuple[Tensor, ...] = ()
-        self.backward_fn = None
-        self.rule = rule
+        self.backward_fn = backward_fn
         self.requires_grad = requires_grad
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def zero_grad(self) -> None:
         """Zeroes the gradient, reusing its buffer when there is one."""
@@ -63,50 +46,22 @@ class Tensor:
             self.grad.fill(0)
 
     def __repr__(self) -> str:
-        return f"Tensor(rule={self.rule}, shape={self.data.shape})"
-
-
-def _make(data, parents, backward_fn, rule: str) -> Tensor:
-    if not _GRAD_ENABLED or not any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=False, rule=rule)
-    out = Tensor(data, requires_grad=True, rule=rule)
-    out.parents = tuple(parents)
-    out.backward_fn = backward_fn
-    return out
-
-
-def _acc(parent: Tensor, g) -> None:
-    if not parent.requires_grad:
-        return
-    if parent.grad is None:
-        parent.grad = np.zeros_like(parent.data)
-    parent.grad += g
-
-
-def _acc_rows(table: Tensor, ids, g) -> None:
-    """Adds ``g`` to rows ``ids`` of ``table.grad``, repeated ids once per occurrence."""
-    if not table.requires_grad:
-        return
-    if table.grad is None:
-        table.grad = np.zeros_like(table.data)
-    np.add.at(table.grad, ids, g)
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def corrupted(rule: str, g):
-    """``g``, mis-scaled when the running ``backward`` corrupts ``rule``.
-
-    Fused ops pass the gradient of each inner rule through this, so a
-    corrupted rule is caught inside them as it is on a node of its own.
-    """
+    """``g``, mis-scaled when the running ``backward`` corrupts ``rule``."""
     return g * _CORRUPT[1] if rule == _CORRUPT[0] else g
 
 
+# Not called here: perfbench/tests/test_bench_tracing.py calls ``constant`` to
+# check that the tracer counts ``Tensor`` constructions.
 def constant(data, dtype=None) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype))
 
 
 def parameter(data) -> Tensor:
-    t = Tensor(np.asarray(data), requires_grad=True, rule="param")
+    t = Tensor(np.asarray(data), requires_grad=True)
     t.zero_grad()
     return t
 
@@ -144,42 +99,16 @@ def _lstm_step_grads(acts, c_prev, tanh_c, dh, dc):
 # -- backward pass ------------------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-    return order
+def backward(loss: Tensor, corrupt_rule: str | None = None, corrupt_scale: float = 1.5) -> None:
+    """Adds d(loss)/d(parameter) into every parameter's ``grad`` through ``loss.backward_fn``.
 
-
-def backward(root: Tensor, corrupt_rule: str | None = None, corrupt_scale: float = 1.5) -> None:
-    """Accumulates d(root)/d(leaf) into every reachable leaf's ``grad``.
-
-    ``corrupt_rule`` deliberately mis-scales the gradient at nodes carrying
-    that rule tag, and inside fused ops (see ``corrupted``), for the length
-    of the pass (negative control for the finite-difference check).
+    ``corrupt_rule`` deliberately mis-scales the gradient of that inner rule
+    (see ``corrupted``) for the length of the pass (negative control for
+    the finite-difference check).
     """
     global _CORRUPT
-    if root.data.shape != ():
-        raise ValueError("backward expects a scalar root")
-    root.grad = np.ones_like(root.data)
-    order = _topo_order(root)
     _CORRUPT = (corrupt_rule, corrupt_scale)
     try:
-        for node in reversed(order):
-            if node.backward_fn is None or node.grad is None:
-                continue
-            node.backward_fn(corrupted(node.rule, node.grad))
+        loss.backward_fn(np.ones_like(loss.data))
     finally:
         _CORRUPT = (None, 1.0)

@@ -5,7 +5,8 @@ A subcommand takes --seed (default from URBANAV_SEED) only if it draws
 random numbers (synth, train, gradcheck), and --config, a flat key=value
 file, only if it has a spec or model config to override (synth, train, and
 evaluate with a model policy). Contract violations exit non-zero with the
-offending flag or key on stderr.
+offending flag or key on stderr; a diverged training run names its epoch
+and example there.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .evaluator import run_protocol
 from .executor import ExecutionError, InvalidPose, Pose, check_pose, execute, parse_actions
 from .model import ModelConfig, VARIANTS
 from .synth import SynthSpec, corpus_stats, generate
-from .training import ModelPolicy, VariantPolicyFactory, gradient_check, kept_epoch
+from .training import ModelPolicy, TrainingDiverged, VariantPolicyFactory, gradient_check, kept_epoch
 from .worldmap import load_map, save_map
 
 CORPUS_FILE = "corpus.txt"
@@ -295,7 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError) as err:
+    except (ConfigError, ValueError, FileNotFoundError, TrainingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,9 @@ One assignment per line, ``#`` starts a comment. A value stays text until
 sets: int, float or str. An unknown key, a key a command-line flag owns, a
 field of another type (a flat file cannot express a dict or a tuple), or a
 value that does not parse raises ``ConfigError`` naming the key, as does
-a key set twice.
+a key set twice. A config dataclass checks each field's range when it is
+made (``check_field``), and a value out of range is reported under its key
+too.
 """
 
 from __future__ import annotations
@@ -17,6 +19,23 @@ from typing import get_type_hints
 
 class ConfigError(ValueError):
     pass
+
+
+class FieldError(ValueError):
+    """A config field out of its range; ``keys`` are the fields the check reads, that one first."""
+
+    def __init__(self, message: str, keys: tuple[str, ...]):
+        super().__init__(message)
+        self.keys = keys
+
+
+def check_field(config, key: str, ok: bool, expected: str, *also: str) -> None:
+    """Raises ``FieldError`` unless ``ok``: field ``key`` of ``config`` must be ``expected``.
+
+    ``also`` names the other fields the condition reads.
+    """
+    if not ok:
+        raise FieldError(f"{key} must be {expected}, got {getattr(config, key)!r}", (key, *also))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -47,6 +66,8 @@ def apply_overrides(defaults, overrides: dict[str, str], flag_keys: dict[str, st
 
     ``flag_keys`` maps the keys a command-line flag owns to that flag; they
     are rejected, as are unknown keys and fields that are not int, float or str.
+    A ``FieldError`` from the copy is raised again as a ``ConfigError``
+    naming the first of its keys that ``overrides`` sets.
     """
     known = {f.name for f in fields(defaults)}
     bad = [k for k in overrides if k not in known]
@@ -65,7 +86,13 @@ def apply_overrides(defaults, overrides: dict[str, str], flag_keys: dict[str, st
             values[key] = parse(raw)
         except ValueError:
             raise ConfigError(f"{where}: {raw!r} does not parse as {parse.__name__}") from None
-    return replace(defaults, **values)
+    try:
+        return replace(defaults, **values)
+    except FieldError as err:
+        key = next((k for k in err.keys if k in overrides), None)
+        if key is None:
+            raise
+        raise ConfigError(f"config key {key!r}: {err}") from None
 
 
 def default_seed() -> int:

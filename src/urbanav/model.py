@@ -4,12 +4,14 @@ A biLSTM encodes the (raw or abstracted) sentence; an LSTM decoder emits
 actions over the 5-symbol alphabet, guided by additive attention over the
 encoder states. The CGAEW variant additionally feeds the world state at
 the current pose into both the attention scores and the decoder input.
-Training runs on the local autodiff kernel so gradients stay fully
-checkable. The training loss is two autodiff nodes: the encoder
-(``_encoder``, both directions in one loop) and the teacher-forced decoder
-(``_decoder_loss``). Training and the beam share one NumPy decoder step
+Every gradient is hand-written NumPy, checked against finite differences.
+``sentence_loss`` returns the loss as one ``autodiff.Tensor`` whose
+backward runs the teacher-forced decoder's backpropagation through time
+(``_decoder_loss``) and then the encoder's (``_encoder``, both directions
+in one loop), so a training step is two explicit calls: the loss, then
+``autodiff.backward``. Training and the beam share one NumPy decoder step
 (``_step_rows``): the beam runs it on all its hypotheses at once, and the
-decoder node on one row per gold action.
+teacher-forced decoder on one row per gold action.
 
 Weight layout note: the decoder input weight is stored as one block per
 input source (previous action embedding, attention context, world state).
@@ -29,6 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .abstraction import Vocabulary
+from .configfile import check_field
 from .executor import Action, Pose, successor
 # Not called here: perfbench/tests/test_bench_tracing.py reads ``model.step`` to
 # check that the tracer wraps a function where another module imported it.
@@ -69,8 +72,16 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.encoder_hidden % 2:
-            raise ValueError("encoder_hidden must be even (split across directions)")
+        for key in ("embed_dim", "encoder_hidden", "decoder_hidden", "beam_width", "epochs",
+                    "max_decode_len", "min_count", "slots_per_type"):
+            check_field(self, key, getattr(self, key) >= 1, "at least 1")
+        for key in ("horizon", "radius", "early_stop_patience"):
+            check_field(self, key, getattr(self, key) >= 0, "at least 0")
+        check_field(self, "encoder_hidden", self.encoder_hidden % 2 == 0,
+                    "even (split across directions)")
+        check_field(self, "dropout_keep", 0 < self.dropout_keep <= 1, "in (0, 1]")
+        check_field(self, "learning_rate", self.learning_rate > 0, "above 0")
+        check_field(self, "dtype", self.dtype in ("float32", "float64"), "float32 or float64")
 
     @property
     def uses_abstraction(self) -> bool:
@@ -194,19 +205,19 @@ class NavigationModel:
     def encode(self, token_ids: list[int], dropout_rng: np.random.Generator | None = None):
         """Per-token concatenated forward/backward recurrent states.
 
-        Returns (states node (N x enc), attention projection ``states @
-        att_Wh`` as an array). The states are one autodiff node (see
-        ``_encoder``); the projection's gradient is the decoder op's, which
-        takes ``att_Wh`` as a parent.
+        Returns (states (N x enc), attention projection ``states @ att_Wh``,
+        backward). ``backward(dstates)`` is the encoder's backpropagation
+        through time (see ``_encoder``); the projection's gradient is the
+        decoder's, which writes ``att_Wh``'s.
         """
         if not token_ids:
             raise ValueError("cannot encode an empty sentence")
         mask = self._dropout_mask((len(token_ids), self.config.embed_dim), dropout_rng)
-        states = self._encoder(token_ids, mask)
-        return states, states.data @ self.params["att_Wh"].data
+        states, backward = self._encoder(token_ids, mask)
+        return states, states @ self.params["att_Wh"].data, backward
 
-    def _encoder(self, token_ids, mask) -> ad.Tensor:
-        """The embedding lookup, input dropout and both LSTM directions as one autodiff node.
+    def _encoder(self, token_ids, mask):
+        """The embedding lookup, input dropout and both LSTM directions: (states, backward).
 
         Both directions run in one loop over stacked ``(2, ...)`` arrays:
         direction 0 reads the sentence forwards, direction 1 backwards, and
@@ -214,7 +225,8 @@ class NavigationModel:
         product is one ``np.matmul`` per direction, bit for bit the product
         one direction alone takes. The backward pass runs both directions in
         one loop too, takes each weight's gradient as one product over the
-        whole sequence and ends with one ``np.add.at`` into ``tok_emb``.
+        whole sequence and ends with one ``np.add.at`` into ``tok_emb``. It
+        passes its incoming gradient through ``corrupted("encoder", ...)``.
         """
         p = self.params.tensors
         dirs = [[p[f"enc_{d}_{w}"] for w in ("Wx", "Wh", "b")] for d in ("fwd", "bwd")]
@@ -234,7 +246,8 @@ class NavigationModel:
             z += b
             acts[:, t], cs[:, t + 1], tanh_c[:, t], hs[:, t + 1] = ad._lstm_step(z, cs[:, t])
 
-        def bw(g):
+        def backward(g):
+            g = ad.corrupted("encoder", g)
             dh_out = np.stack([g[:, :hidden], g[::-1, hidden:]])  # in each direction's order
             dz = np.empty_like(acts)
             dh_next = dc = 0.0
@@ -246,13 +259,12 @@ class NavigationModel:
             grads = (np.matmul(dz_t, xs), np.matmul(dz_t, hs[:, :-1]), dz.sum(axis=1))
             for k, params in enumerate(dirs):
                 for param, grad in zip(params, grads):
-                    ad._acc(param, grad[k])
+                    param.grad += grad[k]
             dx = np.matmul(dz, Wx)
             dx = dx[0] + dx[1][::-1]  # both directions' gradients of each token's input
-            ad._acc_rows(p["tok_emb"], token_ids, dx if mask is None else dx * mask)
+            np.add.at(p["tok_emb"].grad, token_ids, dx if mask is None else dx * mask)
 
-        states = np.concatenate([hs[0, 1:], hs[1, 1:][::-1]], axis=-1)
-        return ad._make(states, (p["tok_emb"], *dirs[0], *dirs[1]), bw, "encoder")
+        return np.concatenate([hs[0, 1:], hs[1, 1:][::-1]], axis=-1), backward
 
     def _dropout_mask(self, shape, rng: np.random.Generator | None) -> np.ndarray | None:
         """An inverted-dropout mask of ``shape`` from ``rng``; None when nothing is dropped."""
@@ -319,32 +331,32 @@ class NavigationModel:
         """Mean teacher-forced negative log-likelihood over one action string.
 
         ``worlds`` holds the world vector before each gold action (see
-        ``world_vector``); CGA and CGAE ignore it. The decoder is one
-        autodiff node over the whole string (see ``_decoder_loss``).
+        ``world_vector``); CGA and CGAE ignore it. ``autodiff.backward``
+        on the result runs the decoder's backward, then the encoder's (see
+        ``_decoder_loss``).
         """
         if not action_ids:
             raise ValueError("cannot score an empty action string")
         if self.config.uses_world and (worlds is None or len(worlds) != len(action_ids)):
             got = "none" if worlds is None else len(worlds)
             raise ValueError(f"CGAEW needs one world vector per action: {len(action_ids)}, got {got}")
-        states, proj = self.encode(token_ids, dropout_rng)
+        states, proj, encoder_backward = self.encode(token_ids, dropout_rng)
         # one output mask row per action, drawn after the encoder's mask
         mask = self._dropout_mask((len(action_ids), self.config.decoder_hidden), dropout_rng)
-        return self._decoder_loss(states, proj, action_ids, worlds, mask)
+        return self._decoder_loss(states, proj, encoder_backward, action_ids, worlds, mask)
 
-    def _decoder_loss(self, states, proj, action_ids, worlds, mask) -> ad.Tensor:
-        """The teacher-forced decoder and its mean NLL as one autodiff node.
+    def _decoder_loss(self, states, proj, encoder_backward, action_ids, worlds, mask) -> ad.Tensor:
+        """The teacher-forced decoder's mean NLL, holding the whole backward pass.
 
         The forward runs ``_step_rows`` on one row per gold action. The
         backward is backpropagation through time: the output layer and NLL
         for t = 0 ... T-1, then the cell and the attention for t = T-1 ... 0.
-        The node takes ``att_Wh`` as a parent: after the loop the gradient of
-        ``proj = states @ att_Wh`` goes to the states and to ``att_Wh``, and
-        each weight used at every step gets its outer-product terms as one
-        product. Float sums depend on their order, and every buffer receives
-        its terms in the order a graph of per-step nodes gets them from
-        ``backward``, so training is bit for bit that graph's (see README,
-        Model family).
+        After the loop the gradient of ``proj = states @ att_Wh`` goes to
+        the states and to ``att_Wh``, each weight used at every step gets
+        its outer-product terms as one product, and last
+        ``encoder_backward`` takes the states' gradient. Float sums depend
+        on their order; this fixed order is the one the bit-for-bit checks
+        pin (see README, Model family).
         """
         cfg = self.config
         p = self.params.tensors
@@ -365,7 +377,7 @@ class NavigationModel:
         h = c = zeros
         steps = []
         for t in range(T):
-            step = self._step_rows(states.data, proj, h, c, emb_z[t : t + 1],
+            step = self._step_rows(states, proj, h, c, emb_z[t : t + 1],
                                    row(world_z, t), row(world_u, t), row(mask, t))
             steps.append(step)
             h, c = step.h, step.c
@@ -374,7 +386,7 @@ class NavigationModel:
             total = total - step.logp[0, target]  # left to right, in the model dtype
         loss = np.asarray(total * (1.0 / T))
 
-        def bw(g):
+        def backward(g):
             outer: dict[str, tuple[list, list]] = {}  # a weight's outer-product terms
 
             def add_outer(name, a, b):
@@ -385,11 +397,12 @@ class NavigationModel:
             g = g * (1.0 / T)
             dh = np.zeros((T, cfg.decoder_hidden), dtype=zeros.dtype)
             dproj = np.zeros_like(proj)
+            dstates = np.zeros_like(states)
             for t, (step, target) in enumerate(zip(steps, action_ids)):
                 dlogits = np.exp(step.logp[0])
                 dlogits[target] -= 1.0
                 dlogits = g * dlogits
-                ad._acc(p["out_b"], dlogits)
+                p["out_b"].grad += dlogits
                 add_outer("out_W", dlogits, step.out_in[0])
                 dout = p["out_W"].data.T @ dlogits
                 dh[t] += dout if mask is None else dout * mask[t]
@@ -403,18 +416,18 @@ class NavigationModel:
                 if world is not None:
                     add_outer("dec_W_world", dz, world[t])
                 add_outer("dec_Wh", dz, h_prev[0])
-                ad._acc(p["dec_b"], dz)
+                p["dec_b"].grad += dz
                 if t:
                     dh[t - 1] += p["dec_Wh"].data.T @ dz
-                ad._acc_rows(p["act_emb"], prev[t], p["dec_W_emb"].data.T @ dz)
+                np.add.at(p["act_emb"].grad, prev[t], p["dec_W_emb"].data.T @ dz)
                 # attention: context = weights @ states, weights = softmax(th @ att_v)
                 dctx = p["dec_W_ctx"].data.T @ dz
                 weights = step.weights[0]
-                dweights = states.data @ dctx
-                ad._acc(states, np.outer(weights, dctx))
+                dweights = states @ dctx
+                dstates += np.outer(weights, dctx)
                 dscores = weights * (dweights - np.dot(dweights, weights))
                 th = step.th[0]
-                ad._acc(p["att_v"], th.T @ dscores)
+                p["att_v"].grad += th.T @ dscores
                 da = ad.corrupted("tanh", np.outer(dscores, p["att_v"].data)) * (1.0 - th * th)
                 dproj += da
                 du = da.sum(axis=0)
@@ -424,16 +437,13 @@ class NavigationModel:
                     dh[t - 1] += p["att_Ws"].data @ du
                 add_outer("att_Ws", h_prev[0], du)
             # the attention projection proj = states @ att_Wh
-            ad._acc(states, dproj @ p["att_Wh"].data.T)
-            ad._acc(p["att_Wh"], states.data.T @ dproj)
+            dstates += dproj @ p["att_Wh"].data.T
+            p["att_Wh"].grad += states.T @ dproj
             for name, (left, right) in outer.items():
-                ad._acc(p[name], np.stack(left, axis=1) @ np.stack(right))
+                p[name].grad += np.stack(left, axis=1) @ np.stack(right)
+            encoder_backward(dstates)
 
-        weights = ["act_emb", "dec_W_emb", "dec_W_ctx", "dec_Wh", "dec_b", "att_Wh", "att_Ws",
-                   "att_v", "out_W", "out_b"]
-        if world is not None:
-            weights += ["dec_W_world", "att_Ww"]
-        return ad._make(loss, (states, *(p[n] for n in weights)), bw, "decoder")
+        return ad.Tensor(loss, requires_grad=True, backward_fn=backward)
 
     # -- beam search -------------------------------------------------------------
 
@@ -456,9 +466,8 @@ class NavigationModel:
         width = self.config.beam_width if beam_width is None else beam_width
         if width < 1:
             raise ValueError("beam_width must be >= 1")
-        with ad.no_grad():
-            states, proj = self.encode(self.vocab.encode(tokens))
-            return self._beam(states.data, proj, p0, grid, bindings, width)
+        states, proj, _ = self.encode(self.vocab.encode(tokens))
+        return self._beam(states, proj, p0, grid, bindings, width)
 
     def world_vector(self, grid: GridMap, pose: Pose, bindings) -> np.ndarray | None:
         """The here||ahead world vector at ``pose`` in the model dtype; None for CGA/CGAE."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abstraction import Lexicon, abstract, match_entities, tokenize
+from .configfile import FieldError, check_field
 from .corpus import Corpus, Instruction, Paragraph
 from .executor import (
     Action,
@@ -87,6 +88,8 @@ TEMPLATE_KINDS = (
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """The shape of a synthetic world; its counts are checked when it is made."""
+
     n_maps: int = 3
     grid_size: int = 24
     rows: int = 5
@@ -120,7 +123,15 @@ class SynthSpec:
             distractor_rate=0.60,
         )
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        for key in ("n_maps", "paragraphs_per_map", "min_sentences", "walk_min"):
+            check_field(self, key, getattr(self, key) >= 1, "at least 1")
+        check_field(self, "max_sentences", self.max_sentences >= self.min_sentences,
+                    f"at least min_sentences = {self.min_sentences}", "min_sentences")
+        check_field(self, "walk_max", self.walk_min <= self.walk_max < len(NUM_WORDS),
+                    f"from walk_min = {self.walk_min} to {len(NUM_WORDS) - 1} to stay renderable",
+                    "walk_min")
+        check_field(self, "distractor_rate", 0 <= self.distractor_rate <= 1, "in [0, 1]")
         n_named = self.rows + self.cols + sum(
             c for t, c in self.entity_counts.items() if t != "traffic_signal"
         )
@@ -128,17 +139,13 @@ class SynthSpec:
         if self.n_maps > 1:
             pool_per_map = min(pool_per_map, len(self.train_names) // (self.n_maps - 1))
         if n_named > pool_per_map:
-            raise ValueError(
-                f"name pools too small: need {n_named} names per map, have {pool_per_map}"
+            raise FieldError(
+                f"name pools too small: need {n_named} names per map, have {pool_per_map}",
+                ("n_maps", "rows", "cols"),
             )
-        total_tiles = self.grid_size * self.grid_size
         n_entities = sum(self.entity_counts.values())
-        if n_entities * 3 > total_tiles:
-            raise ValueError("more entities than the grid can place")
-        if self.walk_min < 1 or self.walk_max < self.walk_min:
-            raise ValueError("bad walk range")
-        if self.walk_max >= len(NUM_WORDS):
-            raise ValueError(f"walk_max must be < {len(NUM_WORDS)} to stay renderable")
+        check_field(self, "grid_size", n_entities * 3 <= self.grid_size * self.grid_size,
+                    f"large enough to place {n_entities} entities")
 
 
 def _map_name_pool(spec: SynthSpec, map_index: int) -> list[str]:
@@ -439,7 +446,6 @@ def _start_pose(grid: GridMap, rng: np.random.Generator) -> Pose:
 
 def generate(spec: SynthSpec) -> tuple[dict[str, GridMap], Corpus]:
     """Builds the map set and an aligned instruction corpus from a spec."""
-    spec.validate()
     maps: dict[str, GridMap] = {}
     paragraphs: list[Paragraph] = []
     for m in range(spec.n_maps):

@@ -2,9 +2,11 @@
 
 Training is teacher-forced negative log-likelihood with adaptive-moment
 updates, one example per step, fully seeded and single-threaded so a fixed
-seed reproduces the parameter trajectory bit for bit. World vectors along
-the gold prefix are precomputed per example (gold actions are replayed
-through the executor once at example-build time).
+seed reproduces the parameter trajectory bit for bit. A step is two
+explicit calls, the loss and then ``autodiff.backward`` on it, followed by
+the optimizer; the validation loss and finite differences call the forward
+only. World vectors along the gold prefix are precomputed per example (gold
+actions are replayed through the executor once at example-build time).
 
 Model selection and early stopping use the mean teacher-forced NLL over the
 validation examples: the training objective measured on held-out data,
@@ -32,6 +34,9 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"non-finite loss at epoch {epoch}, example {example_index}")
         self.epoch = epoch
         self.example_index = example_index
+
+    def __reduce__(self):  # pickled from an ``evaluate --jobs`` worker by its fields
+        return TrainingDiverged, (self.epoch, self.example_index)
 
 
 @dataclass
@@ -147,11 +152,10 @@ def _mean_nll(model, examples) -> float:
     """Mean per-sentence teacher-forced NLL without dropout; NaN if empty."""
     if not examples:
         return math.nan
-    with ad.no_grad():
-        total = sum(
-            float(model.sentence_loss(ex.token_ids, ex.action_ids, ex.worlds).data)
-            for ex in examples
-        )
+    total = sum(
+        float(model.sentence_loss(ex.token_ids, ex.action_ids, ex.worlds).data)
+        for ex in examples
+    )
     return total / len(examples)
 
 
@@ -181,26 +185,29 @@ def train(
     logs: list[EpochLog] = []
     best_values = model.params.snapshot()
     order = np.arange(len(train_ex))
-    for epoch in range(1, config.epochs + 1):
-        shuffle_rng.shuffle(order)
-        total = 0.0
-        for n, idx in enumerate(order):
-            ex = train_ex[idx]
-            loss = model.sentence_loss(ex.token_ids, ex.action_ids, ex.worlds, dropout_rng)
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(epoch, int(idx))
-            model.params.zero_grads()
-            ad.backward(loss)
-            optimizer.step()
-            if not model.params.all_finite():
-                raise TrainingDiverged(epoch, int(idx))
-            total += float(loss.data)
-        logs.append(EpochLog(epoch, total / max(1, len(train_ex)), _mean_nll(model, val_ex)))
-        kept = kept_epoch(logs)
-        if kept == epoch:
-            best_values = model.params.snapshot()
-        elif config.early_stop_patience and epoch - kept >= config.early_stop_patience:
-            break
+    # A step that overflows is caught by the finiteness checks below, so NumPy's
+    # overflow warnings would only repeat the ``TrainingDiverged`` error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            shuffle_rng.shuffle(order)
+            total = 0.0
+            for idx in order:
+                ex = train_ex[idx]
+                loss = model.sentence_loss(ex.token_ids, ex.action_ids, ex.worlds, dropout_rng)
+                if not np.isfinite(loss.data):
+                    raise TrainingDiverged(epoch, int(idx))
+                model.params.zero_grads()
+                ad.backward(loss)
+                optimizer.step()
+                if not model.params.all_finite():
+                    raise TrainingDiverged(epoch, int(idx))
+                total += float(loss.data)
+            logs.append(EpochLog(epoch, total / max(1, len(train_ex)), _mean_nll(model, val_ex)))
+            kept = kept_epoch(logs)
+            if kept == epoch:
+                best_values = model.params.snapshot()
+            elif config.early_stop_patience and epoch - kept >= config.early_stop_patience:
+                break
     model.params.restore(best_values)
     return model, logs
 
@@ -213,8 +220,8 @@ def finite_difference_check(
 ) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
-    ``build_loss`` must rebuild the loss graph from the current parameter
-    values on every call. Parameters must be float64 for the stated
+    ``build_loss`` must compute the loss from the current parameter values
+    on every call. Parameters must be float64 for the stated
     tolerances to be meaningful.
     """
     loss = build_loss()
@@ -224,8 +231,7 @@ def finite_difference_check(
     analytic = [p.grad.copy() for p in params]
 
     def eval_loss() -> float:
-        with ad.no_grad():
-            return float(build_loss().data)
+        return float(build_loss().data)
 
     worst = 0.0
     for p, grad in zip(params, analytic):
@@ -292,7 +298,7 @@ class VariantPolicyFactory:
 
 
 def _gradcheck_fixture():
-    """Tiny deterministic map + example exercising the full CGAEW graph."""
+    """Tiny deterministic map + example exercising every CGAEW weight."""
     from .worldmap import Entity, Street, TileCoord
 
     ns_tiles = tuple(TileCoord(2, r) for r in range(5))
@@ -324,7 +330,7 @@ def _gradcheck_fixture():
 
 
 def gradient_check(seed: int = 0, corrupt_rule: str | None = None) -> float:
-    """Full-graph gradient check on a tiny 64-bit model; returns max rel error."""
+    """Every weight's gradient check on a tiny 64-bit CGAEW model; returns max rel error."""
     config = ModelConfig(
         variant="CGAEW", embed_dim=6, encoder_hidden=8, decoder_hidden=8,
         dropout_keep=1.0, seed=seed, horizon=3, radius=1, slots_per_type=2,

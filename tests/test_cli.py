@@ -164,6 +164,7 @@ def _config_argv(command, data_dir, tmp_path, cfg):
     }[command], out
 
 
+DIVERGES = "learning_rate = 1e30\nepochs = 1"
 BAD_CONFIGS = [
     # (command, config line, text the error must contain)
     ("synth", "seed = 7", "--seed"),
@@ -183,24 +184,62 @@ BAD_CONFIGS = [
     ("evaluate", "epochs = 1.5", "'1.5' does not parse as int"),
     ("synth", "grid_size = 18\nrows = 3\ngrid_size = 20",
      "bad.cfg:3: config key 'grid_size' is set twice"),
+    # values out of their field's range
+    ("synth", "n_maps = 0", "n_maps must be at least 1, got 0"),
+    ("synth", "paragraphs_per_map = -1", "paragraphs_per_map must be at least 1, got -1"),
+    ("synth", "max_sentences = 1", "max_sentences must be at least min_sentences = 2, got 1"),
+    ("synth", "min_sentences = 0", "min_sentences must be at least 1, got 0"),
+    ("synth", "min_sentences = 6", "max_sentences must be at least min_sentences = 6, got 5"),
+    ("synth", "walk_max = 15", "walk_max must be from walk_min = 2 to 14"),
+    ("synth", "distractor_rate = 1.5", "distractor_rate must be in [0, 1], got 1.5"),
+    ("synth", "n_maps = 8", "name pools too small"),
+    ("train", "epochs = -1", "epochs must be at least 1, got -1"),
+    ("train", "dtype = foo", "dtype must be float32 or float64, got 'foo'"),
+    ("train", "dtype = float16", "dtype must be float32 or float64, got 'float16'"),
+    ("train", "learning_rate = -1", "learning_rate must be above 0, got -1.0"),
+    ("train", "horizon = -1", "horizon must be at least 0, got -1"),
+    ("train", "encoder_hidden = 7", "encoder_hidden must be even"),
+    ("evaluate", "epochs = 0", "epochs must be at least 1, got 0"),
+    ("evaluate", "beam_width = 0", "beam_width must be at least 1, got 0"),
+    ("evaluate", "max_decode_len = 0", "max_decode_len must be at least 1, got 0"),
+    ("evaluate", "dropout_keep = 0", "dropout_keep must be in (0, 1], got 0.0"),
+    # a run that diverges names the epoch and the example instead
+    ("train", DIVERGES, "error: non-finite loss at epoch 1, example "),
+    ("evaluate", DIVERGES, "error: non-finite loss at epoch 1, example "),
 ]
 
 
 @pytest.mark.parametrize("command,line,expected", BAD_CONFIGS,
                          ids=[f"{c}:{line.replace(' = ', '=').replace(chr(10), ';')}"
                               for c, line, _ in BAD_CONFIGS])
-def test_bad_config_value_or_key_names_the_key(data_dir, tmp_path, capsys,
+def test_bad_config_value_or_key_names_the_key(data_dir, tmp_path, monkeypatch, capsys,
                                                command, line, expected):
     """A key a flag owns, a field a flat file cannot express, a value its field
-    cannot parse, or a key set twice exits 1 with an error naming the key;
-    nothing is written."""
+    cannot parse or holds out of range, or a key set twice exits 1 with one
+    error line naming the key, before anything trains; a run that diverges
+    exits 1 with one naming the epoch and example. No traceback, nothing
+    written."""
+    import urbanav.training as training
+
+    trained = []
+    real_train = training.train
+
+    def recording_train(*args):
+        trained.append(args)
+        return real_train(*args)
+
+    monkeypatch.setattr(training, "train", recording_train)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     argv, out = _config_argv(command, data_dir, tmp_path, cfg)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    key = line.split("=")[0].strip()
-    assert err.startswith("error: ") and f"config key {key!r}" in err and expected in err
+    assert err.startswith("error: ") and expected in err
+    assert len(err.splitlines()) == 1  # no traceback
+    if line == DIVERGES:
+        assert trained
+    else:
+        assert f"config key {line.split('=')[0].strip()!r}" in err and not trained
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from urbanav.model import (
 from urbanav.training import (
     Adam,
     EpochLog,
+    TrainingDiverged,
     build_example,
     finite_difference_check,
     kept_epoch,
@@ -57,8 +59,8 @@ def dummy_world() -> np.ndarray:
 
 def test_encode_single_token_shape():
     model = tiny_model()
-    states, _ = model.encode([2])
-    assert states.data.shape == (1, 8)
+    states, _, _ = model.encode([2])
+    assert states.shape == (1, 8)
 
 
 def test_encode_rejects_empty():
@@ -73,18 +75,16 @@ def test_encode_zero_weights_collapses_positions():
     for name in ("enc_fwd_Wx", "enc_fwd_Wh", "enc_fwd_b",
                  "enc_bwd_Wx", "enc_bwd_Wh", "enc_bwd_b"):
         model.params[name].data[...] = 0.0
-    with ad.no_grad():
-        states, _ = model.encode(VOCAB.encode(["walk", "until", "you"]))
-    assert np.allclose(states.data, 0.0)
-    assert np.allclose(states.data[0], states.data[1])
+    states, _, _ = model.encode(VOCAB.encode(["walk", "until", "you"]))
+    assert np.allclose(states, 0.0)
+    assert np.allclose(states[0], states[1])
 
 
 def test_encode_matches_hand_unrolled_recurrence():
     model = tiny_model()
     token_ids = VOCAB.encode(["walk", "until", "you", "reach", "<SHOP_1>", "turn", "."])
     assert len(token_ids) == 7
-    with ad.no_grad():
-        states, _ = model.encode(token_ids)
+    states, _, _ = model.encode(token_ids)
 
     # independent naive unroll with plain numpy
     p = {k: t.data for k, t in model.params.items()}
@@ -109,7 +109,7 @@ def test_encode_matches_hand_unrolled_recurrence():
     fwd = unroll(p["enc_fwd_Wx"], p["enc_fwd_Wh"], p["enc_fwd_b"], embs)
     bwd = unroll(p["enc_bwd_Wx"], p["enc_bwd_Wh"], p["enc_bwd_b"], embs[::-1])[::-1]
     expected = np.stack([np.concatenate([f, b]) for f, b in zip(fwd, bwd)])
-    assert np.allclose(states.data, expected, atol=1e-12)
+    assert np.allclose(states, expected, atol=1e-12)
 
 
 # -- attention -----------------------------------------------------------------
@@ -126,9 +126,7 @@ def step_inputs(model, prev_ids, worlds):
 
 
 def encoded(model, token_ids):
-    with ad.no_grad():
-        states, proj = model.encode(token_ids)
-    return states.data, proj
+    return model.encode(token_ids)[:2]  # (states, proj)
 
 
 def test_attention_singleton_weight_is_one():
@@ -352,7 +350,7 @@ def test_step_rows_equal_autodiff_step_per_row(dtype):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("variant", ["CGA", "CGAEW"])
 def test_teacher_forced_loss_is_mean_step_nll(variant, dtype):
-    """The no-grad loss is minus the mean log-probability the shared step gives
+    """The loss is minus the mean log-probability the shared step gives
     the gold string, summed left to right in the model dtype."""
     model = NavigationModel(replace(TINY, variant=variant, dtype=dtype), VOCAB,
                             LAYOUT if variant == "CGAEW" else None)
@@ -360,8 +358,7 @@ def test_teacher_forced_loss_is_mean_step_nll(variant, dtype):
     action_ids = [ACTION_IDS[a] for a in (Action.TURN_LEFT, Action.WALK, Action.WALK, Action.END)]
     rng = np.random.default_rng(6)
     worlds = list((rng.random((len(action_ids), 2 * LAYOUT.width)) < 0.3).astype(dtype))
-    with ad.no_grad():
-        loss = model.sentence_loss(token_ids, action_ids, worlds)
+    loss = model.sentence_loss(token_ids, action_ids, worlds)
     states, proj = encoded(model, token_ids)
     h = c = np.zeros((1, 8), dtype=dtype)
     logps = []
@@ -518,6 +515,13 @@ def test_training_never_decodes(synth_small, monkeypatch):
     assert all(np.isfinite(row.val_nll) for row in logs)
 
 
+def test_training_diverged_survives_pickling():
+    """An ``evaluate --jobs`` worker hands the error to its parent by pickle."""
+    err = pickle.loads(pickle.dumps(TrainingDiverged(3, 7)))
+    assert (err.epoch, err.example_index) == (3, 7)
+    assert str(err) == "non-finite loss at epoch 3, example 7"
+
+
 def test_parameters_stay_finite_after_steps(synth_small):
     maps, corpus = synth_small
     pairs = _one_example_pairs(corpus, maps, n=10)
@@ -561,11 +565,10 @@ OVERFIT = ModelConfig(variant="CGAEW", embed_dim=8, encoder_hidden=8, decoder_hi
 def validation_nll(model, pairs) -> float:
     """Mean teacher-forced NLL without dropout, recomputed from scratch."""
     total = 0.0
-    with ad.no_grad():
-        for instr, grid in pairs:
-            ex = build_example(instr, grid, model)
-            loss = model.sentence_loss(ex.token_ids, ex.action_ids, ex.worlds)
-            total += float(loss.data)
+    for instr, grid in pairs:
+        ex = build_example(instr, grid, model)
+        loss = model.sentence_loss(ex.token_ids, ex.action_ids, ex.worlds)
+        total += float(loss.data)
     return total / len(pairs)
 
 

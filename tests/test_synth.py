@@ -61,9 +61,9 @@ def test_gold_routes_roundtrip(synth_small):
 
 def test_infeasible_spec_rejected():
     with pytest.raises(ValueError, match="name pools"):
-        SynthSpec(n_maps=8, paragraphs_per_map=2).validate()
+        SynthSpec(n_maps=8, paragraphs_per_map=2)
     with pytest.raises(ValueError, match="grid"):
-        SynthSpec(grid_size=6, entity_counts={"traffic_signal": 200}).validate()
+        SynthSpec(grid_size=6, entity_counts={"traffic_signal": 200})
 
 
 def test_minimal_one_street_end_only():
