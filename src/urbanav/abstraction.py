@@ -4,11 +4,15 @@ Matching is lexicon-exact after lowercasing and possessive/apostrophe
 stripping; there is no fuzzy matching. Variables look like ``<STREET_1>``,
 numbered per type within a sentence in left-to-right order, and repeat
 mentions of the same entity reuse their first variable.
+
+Tokens and variables are interned (``sys.intern``), as ``corpus.parse_corpus``
+interns the tokens it reads, so equal tokens across a corpus are one object.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -58,7 +62,7 @@ def tokenize(text: str) -> TokenizedSentence:
     tokens = []
     offsets = []
     for m in _TOKEN_RE.finditer(lowered):
-        tokens.append(m.group(0))
+        tokens.append(sys.intern(m.group(0)))
         offsets.append((m.start(), m.end()))
     return TokenizedSentence(tuple(tokens), text, tuple(offsets))
 
@@ -149,7 +153,7 @@ def abstract(
         else:
             etype = grid.grounding_type(gid).upper()
             per_type[etype] += 1
-            var = f"<{etype}_{per_type[etype]}>"
+            var = sys.intern(f"<{etype}_{per_type[etype]}>")
             var_of[gid] = var
             bindings.append((var, gid))
         out.append(var)

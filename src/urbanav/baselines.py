@@ -21,11 +21,13 @@ from .worldmap import GridMap, TileCoord
 JUMP_STEP_BUDGET = 200
 
 
-def no_move(p0: Pose) -> list[Action]:
-    return [Action.END]
+def no_move(p0: Pose) -> tuple[Action, ...]:
+    return (Action.END,)
 
 
-def random_walk(grid: GridMap, p0: Pose, avg_len: float, rng: np.random.Generator) -> list[Action]:
+def random_walk(
+    grid: GridMap, p0: Pose, avg_len: float, rng: np.random.Generator
+) -> tuple[Action, ...]:
     """Random heading, then round(avg_len) WALKs; invalid walks truncate."""
     actions: list[Action] = []
     pose = p0
@@ -43,7 +45,7 @@ def random_walk(grid: GridMap, p0: Pose, avg_len: float, rng: np.random.Generato
         pose = nxt
         actions.append(Action.WALK)
     actions.append(Action.END)
-    return actions
+    return tuple(actions)
 
 
 def _street_graph_distances(grid: GridMap, targets: set[TileCoord]) -> dict[TileCoord, int]:
@@ -73,7 +75,7 @@ def jump(
     p0: Pose,
     rng: np.random.Generator,
     step_budget: int = JUMP_STEP_BUDGET,
-) -> list[Action]:
+) -> tuple[Action, ...]:
     """Greedy street-graph descent toward each bound entity in mention order."""
     actions: list[Action] = []
     pose = p0
@@ -113,7 +115,7 @@ def jump(
                 pose = walked
                 actions.append(Action.WALK)
     actions.append(Action.END)
-    return actions
+    return tuple(actions)
 
 
 # -- policy adapters -----------------------------------------------------------
@@ -122,7 +124,7 @@ def jump(
 class NoMovePolicy(Policy):
     name = "no-move"
 
-    def predict(self, grid: GridMap, instruction: Instruction, pose: Pose) -> list[Action]:
+    def predict(self, grid: GridMap, instruction: Instruction, pose: Pose) -> tuple[Action, ...]:
         return no_move(pose)
 
 
@@ -145,7 +147,7 @@ class RandomPolicy(Policy):
         self.seed = seed
         self._rng = np.random.default_rng([seed, 0x7A])
 
-    def predict(self, grid: GridMap, instruction: Instruction, pose: Pose) -> list[Action]:
+    def predict(self, grid: GridMap, instruction: Instruction, pose: Pose) -> tuple[Action, ...]:
         return random_walk(grid, pose, self.avg_len, self._rng)
 
 
@@ -157,13 +159,19 @@ class JumpPolicy(Policy):
 
     def __post_init__(self):
         self._rng = np.random.default_rng([self.seed, 0x10])
+        # JUMP's strings repeat: over a RUN-shaped corpus about a third are END
+        # alone, and a few hundred are distinct among thousands. Each distinct
+        # string is returned as one shared tuple, so a caller that keeps the
+        # predictions keeps each string once.
+        self._strings: dict[tuple[Action, ...], tuple[Action, ...]] = {}
 
     def fit(self, train_corpus: Corpus, maps: dict[str, GridMap], seed: int) -> None:
         self.seed = seed
         self._rng = np.random.default_rng([seed, 0x10])
 
-    def predict(self, grid: GridMap, instruction: Instruction, pose: Pose) -> list[Action]:
-        return jump(grid, instruction.bindings, pose, self._rng)
+    def predict(self, grid: GridMap, instruction: Instruction, pose: Pose) -> tuple[Action, ...]:
+        actions = jump(grid, instruction.bindings, pose, self._rng)
+        return self._strings.setdefault(actions, actions)
 
 
 def no_move_factory(seed: int) -> NoMovePolicy:

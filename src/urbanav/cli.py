@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 from . import __version__
@@ -51,7 +52,8 @@ def _load_data_dir(path: str):
 
 
 def _check_corpus_maps(corpus, maps, source) -> None:
-    """Raises ``CorpusFormatError`` where a paragraph's map, start pose or binding is missing."""
+    """Raises ``CorpusFormatError`` where a paragraph's map, start pose or binding is missing,
+    or where an instruction's gold actions do not run to its ROUTE from its start."""
     for paragraph in corpus.paragraphs:
         grid = maps.get(paragraph.map_id)
         if grid is None:
@@ -71,6 +73,25 @@ def _check_corpus_maps(corpus, maps, source) -> None:
                     raise CorpusFormatError(
                         f"{where}: binding {var}={gid} names nothing on map {grid.id}"
                     ) from None
+            try:
+                ran = execute(grid, instr.start, instr.actions)
+            except (ExecutionError, ValueError) as err:
+                raise CorpusFormatError(f"{where}: gold actions fail: {err}") from None
+            if ran != instr.route:
+                difference = _first_difference(ran, instr.route)
+                raise CorpusFormatError(f"{where}: gold actions do not reproduce ROUTE: {difference}")
+
+
+def _first_difference(ran, gold) -> str:
+    for i, (got, want) in enumerate(zip_longest(ran.tiles, gold.tiles)):
+        if got != want:
+            return f"tile {i} is {want or 'absent'} in ROUTE, {got or 'absent'} when run"
+    want, got = _pose_text(gold.final_pose), _pose_text(ran.final_pose)
+    return f"final pose is {want} in ROUTE, {got} when run"
+
+
+def _pose_text(pose: Pose) -> str:
+    return f"({pose.street_id},{pose.index},{pose.travel_dir:+d})"
 
 
 def _seed(args) -> int:
@@ -123,8 +144,7 @@ def cmd_simulate(args) -> int:
         print("partial route: " + ";".join(str(t) for t in err.partial_route.tiles))
         return 1
     print(";".join(str(t) for t in route.tiles))
-    final = route.final_pose
-    print(f"final pose: ({final.street_id},{final.index},{final.travel_dir:+d})")
+    print(f"final pose: {_pose_text(route.final_pose)}")
     return 0
 
 

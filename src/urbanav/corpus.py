@@ -17,6 +17,7 @@ a corpus after reading it reproduces the file byte for byte:
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .executor import Action, Pose, Route, format_actions, parse_actions
@@ -97,7 +98,7 @@ def format_corpus(corpus: Corpus) -> str:
                 lines.append("BINDINGS -")
             tiles = ";".join(str(t) for t in instr.route.tiles)
             lines.append(f"ROUTE {tiles} final={_format_pose(instr.route.final_pose)}")
-            lines.append("ACTIONS " + format_actions(list(instr.actions)))
+            lines.append("ACTIONS " + format_actions(instr.actions))
     return "\n".join(lines) + "\n"
 
 
@@ -142,8 +143,8 @@ def parse_corpus(text: str, source: str = "<string>") -> Corpus:
         line = next_line()
         while line is not None and line.startswith("INSTRUCTION "):
             text_line = expect("TEXT")
-            tokens = tuple(expect("TOKENS").split())
-            abstract = tuple(expect("ABSTRACT").split())
+            tokens = tuple(map(sys.intern, expect("TOKENS").split()))
+            abstract = tuple(map(sys.intern, expect("ABSTRACT").split()))
             bindings_raw = expect("BINDINGS")
             bindings: list[tuple[str, int]] = []
             if bindings_raw.strip() != "-":
@@ -151,7 +152,7 @@ def parse_corpus(text: str, source: str = "<string>") -> Corpus:
                     var, _, gid = part.partition("=")
                     if not gid or not gid.lstrip("-").isdigit():
                         fail(f"bad binding {part!r}")
-                    bindings.append((var, int(gid)))
+                    bindings.append((sys.intern(var), int(gid)))
             route_raw = expect("ROUTE")
             m2 = re.match(r"^(\S+) final=(\S+)$", route_raw)
             if not m2:

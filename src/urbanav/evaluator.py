@@ -118,7 +118,7 @@ def split_paragraphs(
 
 
 class Policy:
-    """A route follower: anything that maps an instruction to actions."""
+    """A route follower: anything that maps an instruction to a tuple of actions."""
 
     name = "policy"
     # Deterministic policies may have predict() results reused for repeated
@@ -128,7 +128,7 @@ class Policy:
     def fit(self, train_corpus: Corpus, maps: dict[str, GridMap], seed: int) -> None:
         pass
 
-    def predict(self, grid: GridMap, instruction: Instruction, pose: Pose) -> list[Action]:
+    def predict(self, grid: GridMap, instruction: Instruction, pose: Pose) -> tuple[Action, ...]:
         raise NotImplementedError
 
 
@@ -192,9 +192,9 @@ def evaluate_policy_on_map(
     sent_hits = 0
     n_sent = 0
     para_hits = 0
-    memo: dict[tuple[int, Pose], list[Action]] = {}
+    memo: dict[tuple[int, Pose], tuple[Action, ...]] = {}
 
-    def predict(instr: Instruction, pose: Pose) -> list[Action]:
+    def predict(instr: Instruction, pose: Pose) -> tuple[Action, ...]:
         if not policy.deterministic:
             return policy.predict(grid, instr, pose)
         key = (id(instr), pose)

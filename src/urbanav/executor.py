@@ -15,12 +15,20 @@ and every later ``step``, beam expansion, JUMP move, synth plan and
 Also provides the inverse oracle ``route_to_actions`` that recovers a
 minimal action string from a pinned tile route, used to derive training
 supervision.
+
+``Pose`` is a ``NamedTuple``, like ``worldmap.TileCoord``: its hash and
+equality run in C, its hash equals a frozen dataclass's of the same fields,
+and it compares equal to the plain ``(street_id, index, travel_dir)``
+tuple, so never mix the two as keys of one dict. ``Pose.index`` shadows
+``tuple.index``. Action strings are accepted as any sequence; policies
+return tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 from .worldmap import GridMap, TileCoord, angular_distance_deg, signed_delta_deg
 
@@ -47,8 +55,7 @@ TURN_TARGET_DEG = {
 TURN_WINDOW_DEG = 60.0
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     street_id: int
     index: int
     travel_dir: int  # +1 toward the street's end, -1 toward its start
@@ -214,7 +221,7 @@ def step(grid: GridMap, pose: Pose, action: Action) -> Pose:
     return nxt
 
 
-def execute(grid: GridMap, p0: Pose, actions: list[Action]) -> Route:
+def execute(grid: GridMap, p0: Pose, actions: Sequence[Action]) -> Route:
     """Folds ``step`` over an action string ending in END.
 
     The route records the tile after every action; TURNs leave the tile
@@ -243,7 +250,7 @@ def execute(grid: GridMap, p0: Pose, actions: list[Action]) -> Route:
     return Route(tuple(tiles), pose)
 
 
-def execute_lenient(grid: GridMap, p0: Pose, actions: list[Action]) -> Route:
+def execute_lenient(grid: GridMap, p0: Pose, actions: Sequence[Action]) -> Route:
     """Like ``execute`` but truncates at the first failing action; a bad start pose raises."""
     try:
         return execute(grid, p0, actions)
@@ -287,7 +294,7 @@ def route_to_actions(grid: GridMap, p0: Pose, route: Route) -> list[Action]:
     return actions
 
 
-def format_actions(actions: list[Action]) -> str:
+def format_actions(actions: Sequence[Action]) -> str:
     return " ".join(a.value for a in actions)
 
 

@@ -140,6 +140,13 @@ class ModelParameters:
         if config.uses_world:
             shapes["dec_W_world"] = (4 * Hd, world_width)
             shapes["att_Ww"] = (world_width, A)
+        # The encoder keeps each weight kind of its two directions in one
+        # (2, ...) array, which ``_encoder`` reads whole; the six enc_* tensors
+        # are views of its halves, each initialized from its own stream.
+        self.enc_stacked = {
+            kind: np.empty((2, *shapes[f"enc_fwd_{kind}"]), dtype=dtype)
+            for kind in ("Wx", "Wh", "b")
+        }
         self.tensors: dict[str, ad.Tensor] = {}
         for name, shape in shapes.items():
             rng = np.random.default_rng([config.seed, zlib.crc32(name.encode())])
@@ -150,6 +157,11 @@ class ModelParameters:
                     data[h : 2 * h] = 1.0  # forget-gate bias
             else:
                 data = _glorot(rng, shape, dtype)
+            if name.startswith("enc_"):
+                _, direction, kind = name.split("_")
+                half = self.enc_stacked[kind][("fwd", "bwd").index(direction)]
+                half[...] = data
+                data = half
             self.tensors[name] = ad.parameter(data)
 
     def __getitem__(self, name: str) -> ad.Tensor:
@@ -182,7 +194,7 @@ _Step = namedtuple("_Step", "logp h c th weights context acts tanh_c out_in")
 
 @dataclass
 class BeamResult:
-    actions: list[Action]
+    actions: tuple[Action, ...]
     score: float  # length-normalized log-probability
     all_pruned: bool = False
     max_live: int = 0  # peak live hypothesis count during the search
@@ -219,18 +231,19 @@ class NavigationModel:
     def _encoder(self, token_ids, mask):
         """The embedding lookup, input dropout and both LSTM directions: (states, backward).
 
-        Both directions run in one loop over stacked ``(2, ...)`` arrays:
-        direction 0 reads the sentence forwards, direction 1 backwards, and
-        row t of the result holds both states at token t. Every stacked
-        product is one ``np.matmul`` per direction, bit for bit the product
-        one direction alone takes. The backward pass runs both directions in
-        one loop too, takes each weight's gradient as one product over the
-        whole sequence and ends with one ``np.add.at`` into ``tok_emb``. It
-        passes its incoming gradient through ``corrupted("encoder", ...)``.
+        Both directions run in one loop over the stacked ``(2, ...)`` weights
+        of ``ModelParameters.enc_stacked``: direction 0 reads the sentence
+        forwards, direction 1 backwards, and row t of the result holds both
+        states at token t. Every stacked product is one ``np.matmul`` per
+        direction, bit for bit the product one direction alone takes. The
+        backward pass runs both directions in one loop too, takes each
+        weight's gradient as one product over the whole sequence and ends
+        with one ``np.add.at`` into ``tok_emb``. It passes its incoming
+        gradient through ``corrupted("encoder", ...)``.
         """
         p = self.params.tensors
         dirs = [[p[f"enc_{d}_{w}"] for w in ("Wx", "Wh", "b")] for d in ("fwd", "bwd")]
-        Wx, Wh, b = (np.stack([fwd.data, bwd.data]) for fwd, bwd in zip(*dirs))
+        Wx, Wh, b = (self.params.enc_stacked[w] for w in ("Wx", "Wh", "b"))
         x = p["tok_emb"].data[token_ids]
         if mask is not None:
             x = x * mask
@@ -519,13 +532,13 @@ class NavigationModel:
             for logp, k, a_id in expansions:
                 actions, pose = hyps[k][1:3]
                 if a_id == END_ID:
-                    seq = actions + [Action.END]
+                    seq = actions + (Action.END,)
                     done.append((logp / length_penalty(len(seq), alpha), seq))
                 else:
                     pose2 = successor(grid, pose, ACTIONS[a_id])
                     if pose2 is None:
                         continue  # executor failures prune the expansion
-                    grown.append((logp, actions + [ACTIONS[a_id]], pose2, hyp_rows[k], a_id))
+                    grown.append((logp, actions + (ACTIONS[a_id],), pose2, hyp_rows[k], a_id))
                 if len(grown) + len(done) == keep:
                     break
             return grown, done
@@ -533,10 +546,10 @@ class NavigationModel:
         h = c = np.zeros((1, cfg.decoder_hidden), dtype=cfg.np_dtype())
         world_z = world_u = None
         # hypothesis: (logp, actions, pose, row of h and c it continues, last action id)
-        live = [(0.0, [], p0, 0, END_ID)]
+        live = [(0.0, (), p0, 0, END_ID)]
         greedy = live[0] if width > 1 else None
-        greedy_done: list[tuple[float, list[Action]]] = []
-        completed: list[tuple[float, list[Action]]] = []
+        greedy_done: list[tuple[float, tuple[Action, ...]]] = []
+        completed: list[tuple[float, tuple[Action, ...]]] = []
         max_live = 1
         for t in range(cfg.max_decode_len):
             if not live and greedy is None:
@@ -573,12 +586,12 @@ class NavigationModel:
             score, seq = max(completed, key=lambda e: e[0])
             result = BeamResult(seq, score, max_live=max_live)
         else:
-            result = BeamResult([Action.END], float("-inf"), all_pruned=True, max_live=max_live)
+            result = BeamResult((Action.END,), float("-inf"), all_pruned=True, max_live=max_live)
         if greedy_done and (greedy_done[0][0] > result.score or result.all_pruned):
             result = BeamResult(greedy_done[0][1], greedy_done[0][0], max_live=max_live)
         return result
 
-    def predict(self, tokens, p0: Pose, grid: GridMap, bindings=()) -> list[Action]:
+    def predict(self, tokens, p0: Pose, grid: GridMap, bindings=()) -> tuple[Action, ...]:
         return self.beam_search(tokens, p0, grid, bindings).actions
 
     # -- persistence -----------------------------------------------------------------

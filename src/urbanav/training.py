@@ -278,7 +278,7 @@ class ModelPolicy:
         ]
         self.model, self.logs = train(train_pairs, val_pairs, config)
 
-    def predict(self, grid, instruction, pose) -> list[Action]:
+    def predict(self, grid, instruction, pose) -> tuple[Action, ...]:
         if self.model is None:
             raise RuntimeError("policy not fitted")
         tokens = instruction_tokens(instruction, self.config)

@@ -12,6 +12,11 @@ come first and appear exactly once. Quoted strings must not contain ``"``.
 Entity and street ids share one integer id space (a "grounding" id), so a
 name binding can point at either kind of object. Unknown entity types load
 as the reserved type ``other``; unknown record kinds are rejected.
+
+``TileCoord`` is a ``NamedTuple``, so its hash and equality run in C; that
+hash equals the one a frozen dataclass of the same fields gives, so sets
+and dicts of tiles keep their iteration order. A tile compares equal to
+the plain ``(col, row)`` tuple: never mix the two as keys of one dict.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .executor import Action, Pose
@@ -61,8 +66,7 @@ class MapValidationError(ValueError):
     """Raised for parseable files that violate a map invariant."""
 
 
-@dataclass(frozen=True, order=True)
-class TileCoord:
+class TileCoord(NamedTuple):
     col: int
     row: int
 

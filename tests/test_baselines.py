@@ -16,7 +16,7 @@ from urbanav.worldmap import TileCoord
 
 
 def test_no_move_is_end_only():
-    assert no_move(Pose(1, 3, 1)) == [Action.END]
+    assert no_move(Pose(1, 3, 1)) == (Action.END,)
 
 
 def test_no_move_executes_to_single_tile(straight):
@@ -65,7 +65,7 @@ def test_random_walk_emits_wellformed_strings(synth_small):
 
 def test_jump_no_entities_is_end(plus):
     actions = jump(plus, (), Pose(1, 0, 1), np.random.default_rng(0))
-    assert actions == [Action.END]
+    assert actions == (Action.END,)
 
 
 def test_jump_walks_straight_to_target(straight):
@@ -81,7 +81,7 @@ def test_jump_walks_straight_to_target(straight):
     )
     actions = jump(grid, (("<CAFE_1>", 50),), Pose(1, 2, 1), np.random.default_rng(0))
     # greedy distance descent: first adjacent street tile is (4,2), 2 walks away
-    assert actions == [Action.WALK, Action.WALK, Action.END]
+    assert actions == (Action.WALK, Action.WALK, Action.END)
 
 
 def test_jump_turns_toward_target_on_other_street(plus):

@@ -115,6 +115,20 @@ BROKEN_CORPORA = {
     "bad start pose": (2, "start=(6,13,+1)", "start=(6,99,-1)",
                        "paragraph synth-1-p0000, instruction 0: "
                        "bad start pose: index 99 is off street 6 of length 18"),
+    "route off the gold actions": (15, "(16,16);(16,15)", "(16,16);(16,14)",
+                                   "paragraph synth-1-p0000, instruction 1: gold actions do not "
+                                   "reproduce ROUTE: tile 2 is (16,14) in ROUTE, (16,15) when run"),
+    "route shorter than the gold actions": (22, ";(16,7);(16,6) final", ";(16,7) final",
+                                            "paragraph synth-1-p0000, instruction 2: gold actions "
+                                            "do not reproduce ROUTE: tile 9 is absent in ROUTE, "
+                                            "(16,6) when run"),
+    "final pose off the gold actions": (8, "final=(6,17,+1)", "final=(6,17,-1)",
+                                        "paragraph synth-1-p0000, instruction 0: gold actions do "
+                                        "not reproduce ROUTE: final pose is (6,17,-1) in ROUTE, "
+                                        "(6,17,+1) when run"),
+    "gold actions that fail": (9, "WALK WALK WALK WALK END", "WALK WALK WALK WALK WALK END",
+                               "paragraph synth-1-p0000, instruction 0: gold actions fail: "
+                               "action 4 (WALK) failed: street 6 ends at index 17"),
 }
 
 

@@ -265,7 +265,7 @@ def test_beam_width_one_is_greedy():
         prev = chosen
         if chosen is Action.END:
             break
-    assert beam.actions == actions
+    assert beam.actions == tuple(actions)
 
 
 def test_alpha_zero_means_raw_logprob_ranking():
@@ -476,7 +476,7 @@ def test_training_memorizes_one_example(synth_small):
     instr, grid = pairs[0]
     decoded = model.beam_search(instr.abstract_tokens, instr.start, grid,
                                 instr.bindings, beam_width=1)
-    assert decoded.actions == list(instr.actions)
+    assert decoded.actions == instr.actions
 
 
 def test_training_loss_decreases_first_epochs(synth_small):
