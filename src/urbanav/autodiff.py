@@ -38,13 +38,6 @@ class Tensor:
         self.backward_fn = backward_fn
         self.requires_grad = requires_grad
 
-    def zero_grad(self) -> None:
-        """Zeroes the gradient, reusing its buffer when there is one."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -58,12 +51,6 @@ def corrupted(rule: str, g):
 # check that the tracer counts ``Tensor`` constructions.
 def constant(data, dtype=None) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype))
-
-
-def parameter(data) -> Tensor:
-    t = Tensor(np.asarray(data), requires_grad=True)
-    t.zero_grad()
-    return t
 
 
 # -- recurrent cells ------------------------------------------------------------

@@ -23,6 +23,7 @@ CGAEW's forward pass collapse exactly onto CGA/CGAE.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from collections import namedtuple
 from dataclasses import asdict, dataclass
@@ -107,7 +108,19 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarr
 
 
 class ModelParameters:
-    """All trainable tensors, keyed by name, with per-tensor seeded init."""
+    """All trainable tensors, keyed by name, with per-tensor seeded init.
+
+    Every tensor's ``data`` and ``grad`` are views into one flat value array
+    (``values``) and one flat gradient array (``grads``), laid out in the
+    order of ``tensors``: the ``enc_fwd_*`` and ``enc_bwd_*`` halves of each
+    encoder weight kind sit side by side, so ``enc_stacked[kind]`` and
+    ``enc_stacked_grads[kind]`` are ``(2, ...)`` views of both, and the
+    world tensors go last. The finiteness check, a snapshot and a restore
+    are each one array operation, and ``training.Adam`` updates the flat
+    arrays directly. The gradients start at zero; the backward pass adds
+    into them and ``Adam.step`` zeroes what it has read. Each tensor is
+    initialized from its own seeded stream, whatever its place.
+    """
 
     def __init__(self, config: ModelConfig, vocab_size: int, world_width: int):
         self.config = config
@@ -122,10 +135,10 @@ class ModelParameters:
             "tok_emb": (vocab_size, E),
             "act_emb": (len(ACTIONS), E),
             "enc_fwd_Wx": (4 * He, E),
-            "enc_fwd_Wh": (4 * He, He),
-            "enc_fwd_b": (4 * He,),
             "enc_bwd_Wx": (4 * He, E),
+            "enc_fwd_Wh": (4 * He, He),
             "enc_bwd_Wh": (4 * He, He),
+            "enc_fwd_b": (4 * He,),
             "enc_bwd_b": (4 * He,),
             "dec_W_emb": (4 * Hd, E),
             "dec_W_ctx": (4 * Hd, Henc),
@@ -140,29 +153,54 @@ class ModelParameters:
         if config.uses_world:
             shapes["dec_W_world"] = (4 * Hd, world_width)
             shapes["att_Ww"] = (world_width, A)
-        # The encoder keeps each weight kind of its two directions in one
-        # (2, ...) array, which ``_encoder`` reads whole; the six enc_* tensors
-        # are views of its halves, each initialized from its own stream.
-        self.enc_stacked = {
-            kind: np.empty((2, *shapes[f"enc_fwd_{kind}"]), dtype=dtype)
-            for kind in ("Wx", "Wh", "b")
-        }
+        self._spans: dict[str, tuple[int, tuple[int, ...]]] = {}  # name -> (offset, shape)
+        size = 0
+        for name, shape in shapes.items():
+            self._spans[name] = (size, shape)
+            size += math.prod(shape)
+        self.values = np.empty(size, dtype=dtype)
+        self.grads = np.zeros(size, dtype=dtype)
         self.tensors: dict[str, ad.Tensor] = {}
         for name, shape in shapes.items():
-            rng = np.random.default_rng([config.seed, zlib.crc32(name.encode())])
+            data = self.view(self.values, name)
             if name.endswith("_b"):
-                data = np.zeros(shape, dtype=dtype)
+                data[...] = 0.0
                 if name.startswith(("enc_", "dec_")):
                     h = shape[0] // 4
                     data[h : 2 * h] = 1.0  # forget-gate bias
             else:
-                data = _glorot(rng, shape, dtype)
-            if name.startswith("enc_"):
-                _, direction, kind = name.split("_")
-                half = self.enc_stacked[kind][("fwd", "bwd").index(direction)]
-                half[...] = data
-                data = half
-            self.tensors[name] = ad.parameter(data)
+                rng = np.random.default_rng([config.seed, zlib.crc32(name.encode())])
+                data[...] = _glorot(rng, shape, dtype)
+            self.tensors[name] = ad.Tensor(data, requires_grad=True)
+            self.tensors[name].grad = self.view(self.grads, name)
+        # ``_encoder`` reads and writes each weight kind of both directions as one array
+        self.enc_stacked = self._encoder_pairs(self.values)
+        self.enc_stacked_grads = self._encoder_pairs(self.grads)
+
+    def _encoder_pairs(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each encoder weight kind as one ``(2, ...)`` view of ``flat``: fwd, then bwd."""
+        spans = {kind: self._spans[f"enc_fwd_{kind}"] for kind in ("Wx", "Wh", "b")}
+        return {kind: flat[offset : offset + 2 * math.prod(shape)].reshape(2, *shape)
+                for kind, (offset, shape) in spans.items()}
+
+    def view(self, flat: np.ndarray, name: str) -> np.ndarray:
+        """Tensor ``name``'s entries of a flat array laid out like ``values``."""
+        offset, shape = self._spans[name]
+        return flat[offset : offset + math.prod(shape)].reshape(shape)
+
+    def movable(self, world_features: np.ndarray | None) -> np.ndarray:
+        """A mask over ``values`` of the entries a gradient can reach.
+
+        ``world_features`` marks the world features that are ever nonzero
+        (None: every one). A feature that stays 0 gives ``dec_W_world``'s
+        column and ``att_Ww``'s row of that feature a gradient of exactly
+        +0, so those entries never move.
+        """
+        mask = np.ones(self.values.size, dtype=bool)
+        if world_features is not None and self.world_width:
+            self.view(mask, "dec_W_world")[:, ~world_features] = False
+            self.view(mask, "att_Ww")[~world_features] = False
+        return mask
 
     def __getitem__(self, name: str) -> ad.Tensor:
         return self.tensors[name]
@@ -170,19 +208,14 @@ class ModelParameters:
     def items(self):
         return self.tensors.items()
 
-    def zero_grads(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
-
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(t.data)) for t in self.tensors.values())
+        return bool(np.isfinite(self.values).all())
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self.tensors.items()}
+    def snapshot(self) -> np.ndarray:
+        return self.values.copy()
 
-    def restore(self, values: dict[str, np.ndarray]) -> None:
-        for k, t in self.tensors.items():
-            t.data[...] = values[k]
+    def restore(self, values: np.ndarray) -> None:
+        self.values[...] = values
 
 
 # What ``_step_rows`` returns, one row per input row: log-probabilities over
@@ -232,7 +265,8 @@ class NavigationModel:
         """The embedding lookup, input dropout and both LSTM directions: (states, backward).
 
         Both directions run in one loop over the stacked ``(2, ...)`` weights
-        of ``ModelParameters.enc_stacked``: direction 0 reads the sentence
+        of ``ModelParameters.enc_stacked`` (and write their gradients into
+        ``enc_stacked_grads``): direction 0 reads the sentence
         forwards, direction 1 backwards, and row t of the result holds both
         states at token t. Every stacked product is one ``np.matmul`` per
         direction, bit for bit the product one direction alone takes. The
@@ -242,7 +276,6 @@ class NavigationModel:
         gradient through ``corrupted("encoder", ...)``.
         """
         p = self.params.tensors
-        dirs = [[p[f"enc_{d}_{w}"] for w in ("Wx", "Wh", "b")] for d in ("fwd", "bwd")]
         Wx, Wh, b = (self.params.enc_stacked[w] for w in ("Wx", "Wh", "b"))
         x = p["tok_emb"].data[token_ids]
         if mask is not None:
@@ -270,9 +303,8 @@ class NavigationModel:
                 dh_next = np.matmul(Wh.transpose(0, 2, 1), dz[:, t, :, None])[..., 0]
             dz_t = dz.transpose(0, 2, 1)
             grads = (np.matmul(dz_t, xs), np.matmul(dz_t, hs[:, :-1]), dz.sum(axis=1))
-            for k, params in enumerate(dirs):
-                for param, grad in zip(params, grads):
-                    param.grad += grad[k]
+            for kind, grad in zip(("Wx", "Wh", "b"), grads):
+                self.params.enc_stacked_grads[kind] += grad
             dx = np.matmul(dz, Wx)
             dx = dx[0] + dx[1][::-1]  # both directions' gradients of each token's input
             np.add.at(p["tok_emb"].grad, token_ids, dx if mask is None else dx * mask)
@@ -432,7 +464,7 @@ class NavigationModel:
                 p["dec_b"].grad += dz
                 if t:
                     dh[t - 1] += p["dec_Wh"].data.T @ dz
-                np.add.at(p["act_emb"].grad, prev[t], p["dec_W_emb"].data.T @ dz)
+                p["act_emb"].grad[prev[t]] += p["dec_W_emb"].data.T @ dz
                 # attention: context = weights @ states, weights = softmax(th @ att_v)
                 dctx = p["dec_W_ctx"].data.T @ dz
                 weights = step.weights[0]

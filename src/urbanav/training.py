@@ -8,6 +8,13 @@ the optimizer; the validation loss and finite differences call the forward
 only. World vectors along the gold prefix are precomputed per example (gold
 actions are replayed through the executor once at example-build time).
 
+The parameters are two flat arrays, values and gradients
+(``ModelParameters``). Before the first step ``train`` takes the world
+features that are nonzero in some training example; the world weights of
+every other feature get a gradient of exactly 0 at every step. ``Adam``
+skips those, updates the rest in cache-sized blocks and checks them for
+finiteness, which the loop reads from ``Adam.finite`` (see ``Adam``).
+
 Model selection and early stopping use the mean teacher-forced NLL over the
 validation examples: the training objective measured on held-out data,
 independent of the decoder.
@@ -30,13 +37,16 @@ from .worldstate import WorldStateLayout
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, example_index: int):
-        super().__init__(f"non-finite loss at epoch {epoch}, example {example_index}")
+    """A non-finite loss, or non-finite parameters after the optimizer step, at one example."""
+
+    def __init__(self, epoch: int, example_index: int, what: str = "loss"):
+        super().__init__(f"non-finite {what} at epoch {epoch}, example {example_index}")
         self.epoch = epoch
         self.example_index = example_index
+        self.what = what
 
     def __reduce__(self):  # pickled from an ``evaluate --jobs`` worker by its fields
-        return TrainingDiverged, (self.epoch, self.example_index)
+        return TrainingDiverged, (self.epoch, self.example_index, self.what)
 
 
 @dataclass
@@ -74,27 +84,68 @@ class Example:
     worlds: list[np.ndarray] | None
 
 
-class Adam:
-    """Adaptive-moment estimation over a fixed tensor list, updated in place."""
+# ``Adam.step`` runs through the flat arrays in blocks of this many entries,
+# so each block's passes read data that is still in cache.
+ADAM_BLOCK = 1 << 16
 
-    def __init__(self, tensors, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.tensors = list(tensors)
+
+class Adam:
+    """Adaptive-moment estimation (Kingma & Ba 2015) over flat value and gradient arrays.
+
+    ``values`` and ``grads`` are ``ModelParameters.values`` and ``.grads``;
+    ``live`` masks the entries that can move (``ModelParameters.movable``),
+    and only those have a first and second moment. An entry whose gradient is always
+    +0 or -0 keeps m = v = +0, so its update is exactly 0: skipping it
+    leaves every value as the full update would, bit for bit.
+
+    A step runs through the arrays in blocks of ``ADAM_BLOCK`` entries. A
+    block whose entries are all live is updated in place through views; a
+    block that mixes live and still entries reads its live ones with one
+    gather and writes them back with one scatter. Each block takes the same
+    14 elementwise passes in the same order, and no pass mixes entries, so
+    the result does not depend on the blocks. The step then zeroes the
+    live entries' gradient while it is in cache, so the next backward pass
+    adds into zeros; a still entry's gradient only ever gets +0 added to it.
+
+    After each step, ``finite`` tells whether every updated value is finite,
+    checked per block while the block is in cache; the still entries keep
+    their finite initial values. It is an attribute, not the return value of
+    ``step``, so a wrapper around ``step`` that drops the return value (the
+    benchmark's step timer, say) cannot hide a divergence.
+    """
+
+    def __init__(self, values, grads, live, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.values, self.grads = values, grads
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(t.data) for t in self.tensors]
-        self.v = [np.zeros_like(t.data) for t in self.tensors]
-        # two scratch buffers sized for the largest tensor, viewed per tensor
-        size = max(t.data.size for t in self.tensors)
-        self._scratch = [np.empty(size, self.tensors[0].data.dtype) for _ in range(2)]
+        # (start, stop, first moment index, flat indices of the live entries or None if all are)
+        self.blocks: list[tuple[int, int, int, np.ndarray | None]] = []
+        n = 0
+        for start in range(0, values.size, ADAM_BLOCK):
+            block = live[start : start + ADAM_BLOCK]
+            count = int(np.count_nonzero(block))
+            if count:
+                where = None if count == block.size else start + np.flatnonzero(block)
+                self.blocks.append((start, start + block.size, n, where))
+                n += count
+        self.m = np.zeros(n, dtype=values.dtype)
+        self.v = np.zeros(n, dtype=values.dtype)
+        self._scratch = np.empty((2, min(n, ADAM_BLOCK)), dtype=values.dtype)
+        self.finite = True
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.tensors, self.m, self.v):
-            g = p.grad
-            a, b = (s[: g.size].reshape(g.shape) for s in self._scratch)
+        finite = True
+        for start, stop, first, where in self.blocks:
+            if where is None:
+                p, g = self.values[start:stop], self.grads[start:stop]
+            else:
+                p, g = self.values[where], self.grads[where]
+            m, v = self.m[first : first + p.size], self.v[first : first + p.size]
+            a, b = self._scratch[:, : p.size]
             # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
             m *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=a)
@@ -110,7 +161,14 @@ class Adam:
             np.divide(m, b1c, out=b)
             b *= self.lr
             b /= a
-            p.data -= b
+            p -= b
+            if where is None:
+                g.fill(0)  # a view: zeroes the gradient in place
+            else:
+                self.values[where] = p
+                self.grads[where] = 0
+            finite = finite and bool(np.isfinite(p).all())
+        self.finite = finite
 
 
 def instruction_tokens(instr: Instruction, config: ModelConfig) -> tuple[str, ...]:
@@ -180,10 +238,17 @@ def train(
 
     shuffle_rng = np.random.default_rng([config.seed, 0x51])
     dropout_rng = np.random.default_rng([config.seed, 0xD0])
-    optimizer = Adam(model.params.tensors.values(), lr=config.learning_rate)
+    params = model.params
+    world_features = None  # the world features some training step sees nonzero
+    if config.uses_world:
+        world_features = np.zeros(params.world_width, dtype=bool)
+        for ex in train_ex:
+            world_features |= np.any(ex.worlds, axis=0)
+    optimizer = Adam(params.values, params.grads, params.movable(world_features),
+                     config.learning_rate)
 
     logs: list[EpochLog] = []
-    best_values = model.params.snapshot()
+    best_values = params.snapshot()
     order = np.arange(len(train_ex))
     # A step that overflows is caught by the finiteness checks below, so NumPy's
     # overflow warnings would only repeat the ``TrainingDiverged`` error.
@@ -196,19 +261,18 @@ def train(
                 loss = model.sentence_loss(ex.token_ids, ex.action_ids, ex.worlds, dropout_rng)
                 if not np.isfinite(loss.data):
                     raise TrainingDiverged(epoch, int(idx))
-                model.params.zero_grads()
-                ad.backward(loss)
+                ad.backward(loss)  # adds into zeros: a fresh model's, then what Adam.step leaves
                 optimizer.step()
-                if not model.params.all_finite():
-                    raise TrainingDiverged(epoch, int(idx))
+                if not optimizer.finite:
+                    raise TrainingDiverged(epoch, int(idx), "parameters")
                 total += float(loss.data)
             logs.append(EpochLog(epoch, total / max(1, len(train_ex)), _mean_nll(model, val_ex)))
             kept = kept_epoch(logs)
             if kept == epoch:
-                best_values = model.params.snapshot()
+                best_values = params.snapshot()
             elif config.early_stop_patience and epoch - kept >= config.early_stop_patience:
                 break
-    model.params.restore(best_values)
+    params.restore(best_values)
     return model, logs
 
 
@@ -226,7 +290,7 @@ def finite_difference_check(
     """
     loss = build_loss()
     for p in params:
-        p.zero_grad()
+        p.grad.fill(0)
     ad.backward(loss, corrupt_rule=corrupt_rule, corrupt_scale=corrupt_scale)
     analytic = [p.grad.copy() for p in params]
 

@@ -254,12 +254,13 @@ class GridMap:
 
         Here: types whose footprint meets the Chebyshev ball of ``radius``
         around the pose's tile. Ahead: types covering a tile of
-        ``path_ahead(pose, horizon)``.
+        ``path_ahead(pose, horizon)``. A cache miss checks the pose and raises
+        ``InvalidPose`` for one that names no tile; a hit costs one lookup.
         """
         key = (pose, horizon, radius)
         cached = self._types_near.get(key)
         if cached is None:
-            tile = self._streets_by_id[pose.street_id].tiles[pose.index]
+            tile = self._street_at(pose).tiles[pose.index]
             here: set[str] = set()
             for dc in range(-radius, radius + 1):
                 for dr in range(-radius, radius + 1):
@@ -298,14 +299,23 @@ class GridMap:
             return []
         return [(self._streets_by_id[sid], i) for sid, i in entry[1]]
 
+    def _street_at(self, pose: "Pose") -> Street:
+        """The pose's street; raises ``InvalidPose`` for a pose that names no tile."""
+        street = self._streets_by_id.get(pose.street_id)
+        if street is None or not 0 <= pose.index < len(street.tiles) or pose.travel_dir not in (1, -1):
+            from .executor import check_pose  # the executor imports this module
+
+            check_pose(self, pose)  # raises, naming the street, index and length, or the direction
+        return street
+
     def path_ahead(self, pose: "Pose", horizon: int) -> list[TileCoord]:
         """Next ``horizon`` tiles along the pose's street, excluding the current one.
 
-        Clips at the street end; never errors.
+        Clips at the street end. A pose that names no tile raises ``InvalidPose``.
         """
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
-        street = self._streets_by_id[pose.street_id]
+        street = self._street_at(pose)
         out: list[TileCoord] = []
         i = pose.index
         for _ in range(horizon):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import parse_variable
-from .executor import Pose, check_pose, pose_tile
+from .executor import Pose, pose_tile
 from .worldmap import ENTITY_TYPES, GridMap
 
 DEFAULT_HORIZON = 10
@@ -75,9 +75,9 @@ def compute(
     Type bits: an entity of type t intersects the Chebyshev ball around the
     current tile (here) or a tile of the path ahead (ahead). Variable slots:
     the bound grounding (entity or street) intersects the same scope. A
-    pose that names no tile raises ``InvalidPose``.
+    pose that names no tile raises ``InvalidPose`` (from
+    ``GridMap.types_near`` on a cache miss, and ``GridMap.path_ahead``).
     """
-    check_pose(grid, pose)
     here = np.zeros(layout.width, dtype=dtype)
     ahead = np.zeros(layout.width, dtype=dtype)
     here_types, ahead_types = grid.types_near(pose, horizon, radius)

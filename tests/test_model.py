@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from urbanav import autodiff as ad
+from urbanav import training
 from urbanav.abstraction import vocabulary
 from urbanav.executor import Action, Pose
 from urbanav.model import (
@@ -403,6 +404,31 @@ def test_sentence_loss_gradcheck_with_dropout(variant):
     assert finite_difference_check(build, params, h=1e-4) < 1e-5
 
 
+def test_parameters_are_views_of_one_flat_buffer(tmp_path):
+    """Every tensor is a view of the flat value and gradient arrays, and so
+    are the stacked encoder weights; loading writes into the views."""
+    model = tiny_model()
+    params = model.params
+    assert sum(t.data.size for _, t in params.items()) == params.values.size == params.grads.size
+    for name, t in params.items():
+        assert np.shares_memory(t.data, params.values), name
+        assert np.shares_memory(t.grad, params.grads), name
+    for kind in ("Wx", "Wh", "b"):
+        for half, direction in enumerate(("fwd", "bwd")):
+            tensor = params[f"enc_{direction}_{kind}"]
+            assert np.shares_memory(params.enc_stacked[kind][half], tensor.data)
+            assert np.array_equal(params.enc_stacked[kind][half], tensor.data)
+            assert np.shares_memory(params.enc_stacked_grads[kind][half], tensor.grad)
+    assert list(params.tensors)[-2:] == ["dec_W_world", "att_Ww"]
+    params.values[:] = np.arange(params.values.size)  # distinct values, so any misplaced view shows
+    model.save(tmp_path / "model.npz")
+    loaded = NavigationModel.load(tmp_path / "model.npz")
+    assert np.array_equal(loaded.params.values, params.values)
+    for name, t in loaded.params.items():
+        assert np.array_equal(t.data, params[name].data), name
+        assert np.shares_memory(t.data, loaded.params.values), name
+
+
 def test_checkpoint_roundtrip(tmp_path):
     model = tiny_model()
     path = tmp_path / "model.npz"
@@ -522,6 +548,65 @@ def test_training_diverged_survives_pickling():
     assert str(err) == "non-finite loss at epoch 3, example 7"
 
 
+def test_optimizer_divergence_names_epoch_and_example(synth_small, monkeypatch):
+    """A finite loss whose step leaves a parameter non-finite raises at that example."""
+    maps, corpus = synth_small
+    pairs = _one_example_pairs(corpus, maps, n=10)
+    config = ModelConfig(variant="CGAEW", embed_dim=8, encoder_hidden=8,
+                         decoder_hidden=8, epochs=1, seed=2)
+    real_loss = NavigationModel.sentence_loss
+    steps = []
+
+    def sentence_loss(self, token_ids, action_ids, worlds, dropout_rng=None):
+        loss = real_loss(self, token_ids, action_ids, worlds, dropout_rng)
+        if dropout_rng is None:  # the validation loss
+            return loss
+        steps.append(loss.data)
+        backward = loss.backward_fn
+
+        def poisoned(g):
+            backward(g)
+            if len(steps) == 3:  # an infinite gradient makes Adam's update NaN
+                self.params["dec_b"].grad[0] = np.inf
+
+        loss.backward_fn = poisoned
+        return loss
+
+    monkeypatch.setattr(NavigationModel, "sentence_loss", sentence_loss)
+    order = np.arange(8)
+    np.random.default_rng([config.seed, 0x51]).shuffle(order)  # train()'s first epoch
+    with pytest.raises(TrainingDiverged) as err:
+        train(pairs[:8], pairs[8:], config)
+    assert (err.value.epoch, err.value.example_index) == (1, order[2])
+    assert str(err.value) == f"non-finite parameters at epoch 1, example {order[2]}"
+    assert len(steps) == 3 and all(np.isfinite(loss) for loss in steps)
+
+
+def test_training_leaves_unseen_world_features_at_init(synth_small):
+    """The world features no training step sees nonzero keep their initial weights.
+
+    ``dec_W_world``'s columns and ``att_Ww``'s rows of those features get a
+    gradient of exactly 0, so their values equal a fresh model's of the
+    same seed; a test map that lights one of them up reads random weights.
+    """
+    maps, corpus = synth_small
+    pairs = _one_example_pairs(corpus, maps, n=12)
+    config = ModelConfig(variant="CGAEW", embed_dim=8, encoder_hidden=8,
+                         decoder_hidden=8, epochs=2, seed=5)
+    model, _ = train(pairs[:10], pairs[10:], config)
+    fresh = NavigationModel(config, model.vocab, model.layout)
+    seen = np.zeros(model.params.world_width, dtype=bool)
+    for instr, grid in pairs[:10]:
+        seen |= np.any(build_example(instr, grid, fresh).worlds, axis=0)
+    assert 0 < seen.sum() < seen.size
+    trained_w, fresh_w = model.params["dec_W_world"].data, fresh.params["dec_W_world"].data
+    assert np.array_equal(trained_w[:, ~seen], fresh_w[:, ~seen])
+    assert not np.array_equal(trained_w[:, seen], fresh_w[:, seen])
+    trained_a, fresh_a = model.params["att_Ww"].data, fresh.params["att_Ww"].data
+    assert np.array_equal(trained_a[~seen], fresh_a[~seen])
+    assert not np.array_equal(trained_a[seen], fresh_a[seen])
+
+
 def test_parameters_stay_finite_after_steps(synth_small):
     maps, corpus = synth_small
     pairs = _one_example_pairs(corpus, maps, n=10)
@@ -531,28 +616,47 @@ def test_parameters_stay_finite_after_steps(synth_small):
     assert model.params.all_finite()
 
 
-def test_adam_updates_in_place_and_matches_reference():
-    rng = np.random.default_rng(4)
-    tensors = [ad.parameter(rng.normal(size=s).astype(np.float32)) for s in ((3, 4), (5,))]
-    ref = [t.data.copy() for t in tensors]
-    ref_m = [np.zeros_like(r) for r in ref]
-    ref_v = [np.zeros_like(r) for r in ref]
-    opt = Adam(tensors, lr=0.01)
-    buffers = [id(t.data) for t in tensors] + [id(a) for a in opt.m + opt.v]
-    for step in range(1, 4):
-        for t in tensors:
-            t.grad[...] = rng.normal(size=t.data.shape)
-        opt.step()
-        for i, t in enumerate(tensors):  # the textbook update, one expression per line
-            g = t.grad
-            ref_m[i] = 0.9 * ref_m[i] + (1.0 - 0.9) * g
-            ref_v[i] = 0.999 * ref_v[i] + (1.0 - 0.999) * g * g
-            m_hat = ref_m[i] / (1.0 - 0.9**step)
-            v_hat = ref_v[i] / (1.0 - 0.999**step)
-            ref[i] -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
-            assert np.array_equal(t.data, ref[i])
-            assert t.data.dtype == np.float32
-    assert [id(t.data) for t in tensors] + [id(a) for a in opt.m + opt.v] == buffers
+def test_adam_updates_in_place_and_matches_reference(monkeypatch):
+    """Three steps of the textbook update on flat arrays, in blocks of 4 and of
+    ``ADAM_BLOCK`` entries; each step zeroes the live entries' gradient.
+
+    Entries 0-2 can move but never get a gradient: they keep their values
+    and their moments stay 0. Entries 5 and 8-11 are not live: they have
+    no moments and never move, whatever their gradient says. At block 4,
+    entries 4-7 take the gather-and-scatter path and 8-11 are skipped.
+    """
+    for block in (4, training.ADAM_BLOCK):
+        monkeypatch.setattr(training, "ADAM_BLOCK", block)
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=17).astype(np.float32)
+        grads = np.zeros_like(values)
+        live = np.ones(values.size, dtype=bool)
+        live[[5, 8, 9, 10, 11]] = False
+        init = values.copy()
+        ref = values[live]
+        ref_m = np.zeros_like(ref)
+        ref_v = np.zeros_like(ref)
+        opt = Adam(values, grads, live, lr=0.01)
+        assert opt.m.size == opt.v.size == live.sum()
+        buffers = [id(a) for a in (opt.values, opt.grads, opt.m, opt.v)]
+        for step in range(1, 4):
+            grads[3:] = rng.normal(size=values.size - 3)
+            g = grads[live]
+            opt.step()
+            assert not grads[live].any()  # the step zeroes the gradient it read
+            # the textbook update, one expression per line
+            ref_m = 0.9 * ref_m + (1.0 - 0.9) * g
+            ref_v = 0.999 * ref_v + (1.0 - 0.999) * g * g
+            m_hat = ref_m / (1.0 - 0.9**step)
+            v_hat = ref_v / (1.0 - 0.999**step)
+            ref -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(values[live], ref), block
+            assert np.array_equal(opt.m, ref_m) and np.array_equal(opt.v, ref_v), block
+            assert values.dtype == np.float32 and opt.finite
+        assert np.array_equal(values[:3], init[:3]) and not opt.m[:3].any() and not opt.v[:3].any()
+        assert np.array_equal(values[~live], init[~live]), block
+        assert opt.values is values
+        assert [id(a) for a in (opt.values, opt.grads, opt.m, opt.v)] == buffers
 
 
 # -- model selection on validation NLL ----------------------------------------------

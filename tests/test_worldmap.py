@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from urbanav.executor import Action, Pose, step
+from urbanav.executor import Action, InvalidPose, Pose, step
 from urbanav.worldmap import (
     Entity,
     GridMap,
@@ -204,6 +205,30 @@ def test_path_ahead_composes(h1, h2):
     if len(first) == h1:  # h1 tiles actually remain
         advanced = Pose(1, h1, 1)
         assert whole == first + grid.path_ahead(advanced, h2)
+
+
+# (make the bad pose from a street id and its length, the error text it must raise)
+BAD_POSES = {
+    "unknown street": (lambda sid, n: Pose(999, 0, 1), "no street 999"),
+    "index -1": (lambda sid, n: Pose(sid, -1, 1), "index -1 is off street {sid} of length {n}"),
+    "index past the end": (lambda sid, n: Pose(sid, n, -1), "index {n} is off street {sid} of length {n}"),
+    "direction 5": (lambda sid, n: Pose(sid, 0, 5), "travel direction 5 is not +1 or -1"),
+}
+
+
+@pytest.mark.parametrize("query", ["types_near", "path_ahead"])
+@pytest.mark.parametrize("case", list(BAD_POSES))
+def test_pose_queries_reject_a_pose_that_names_no_tile(synth_small, query, case):
+    """A bad pose raises ``InvalidPose`` naming what is wrong: no ``KeyError``,
+    no silent read of the street's last tile, no stride of five tiles."""
+    maps, _ = synth_small
+    grid = maps["synth-1"]
+    street = grid.streets[0]
+    make, message = BAD_POSES[case]
+    pose = make(street.id, len(street.tiles))
+    args = (pose, 3, 1) if query == "types_near" else (pose, 3)
+    with pytest.raises(InvalidPose, match=re.escape(message.format(sid=street.id, n=len(street.tiles)))):
+        getattr(grid, query)(*args)
 
 
 # -- streets_through -------------------------------------------------------------
