@@ -5,7 +5,9 @@ feeds the teacher-forced decoder. So there is no graph and no walk. A
 training step is two explicit calls, ``loss = model.sentence_loss(...)``
 then ``backward(loss)``: the loss ``Tensor`` holds a ``backward_fn`` that
 runs the decoder's backpropagation through time and then the encoder's,
-each writing its terms into the parameters' ``grad`` buffers in place.
+each adding its terms in place into the named gradient views
+``ModelParameters.g``. The weights are plain named arrays
+(``ModelParameters.w``); ``Tensor`` is only the loss.
 Forward-only callers (the beam, the validation loss, finite differences)
 call the forward and never the backward.
 
@@ -28,18 +30,14 @@ _CORRUPT: tuple[str | None, float] = (None, 1.0)
 
 
 class Tensor:
-    """An array and its gradient buffer; a loss also holds the function that runs its backward."""
+    """A loss: its value and the function that runs its backward pass."""
 
-    __slots__ = ("data", "grad", "backward_fn", "requires_grad")
+    __slots__ = ("data", "backward_fn", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, backward_fn=None):
         self.data = np.asarray(data)
-        self.grad: np.ndarray | None = None
         self.backward_fn = backward_fn
         self.requires_grad = requires_grad
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def corrupted(rule: str, g):
@@ -87,7 +85,7 @@ def _lstm_step_grads(acts, c_prev, tanh_c, dh, dc):
 
 
 def backward(loss: Tensor, corrupt_rule: str | None = None, corrupt_scale: float = 1.5) -> None:
-    """Adds d(loss)/d(parameter) into every parameter's ``grad`` through ``loss.backward_fn``.
+    """Adds d(loss)/d(weight) into every weight's gradient view through ``loss.backward_fn``.
 
     ``corrupt_rule`` deliberately mis-scales the gradient of that inner rule
     (see ``corrupted``) for the length of the pass (negative control for

@@ -18,7 +18,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 from . import __version__
-from .abstraction import Lexicon, abstract, match_entities, tokenize
+from .abstraction import Lexicon, abstract, match_entities, parse_variable, tokenize
 from .baselines import jump_factory, no_move_factory, random_factory
 from .configfile import ConfigError, apply_overrides, default_seed, load_config
 from .corpus import CorpusFormatError, load_corpus, save_corpus
@@ -53,7 +53,8 @@ def _load_data_dir(path: str):
 
 def _check_corpus_maps(corpus, maps, source) -> None:
     """Raises ``CorpusFormatError`` where a paragraph's map, start pose or binding is missing,
-    or where an instruction's gold actions do not run to its ROUTE from its start."""
+    where a binding's variable is not of its grounding's type, or where an instruction's
+    gold actions do not run to its ROUTE from its start."""
     for paragraph in corpus.paragraphs:
         grid = maps.get(paragraph.map_id)
         if grid is None:
@@ -68,11 +69,17 @@ def _check_corpus_maps(corpus, maps, source) -> None:
                 raise CorpusFormatError(f"{where}: bad start pose: {err}") from None
             for var, gid in instr.bindings:
                 try:
-                    grid.grounding(gid)
+                    gtype = grid.grounding_type(gid)
                 except KeyError:
                     raise CorpusFormatError(
                         f"{where}: binding {var}={gid} names nothing on map {grid.id}"
                     ) from None
+                vtype = parse_variable(var)[0]
+                if vtype != gtype:
+                    raise CorpusFormatError(
+                        f"{where}: binding {var}={gid} names a {gtype} on map {grid.id}, "
+                        f"not a {vtype}"
+                    )
             try:
                 ran = execute(grid, instr.start, instr.actions)
             except (ExecutionError, ValueError) as err:
@@ -86,12 +93,7 @@ def _first_difference(ran, gold) -> str:
     for i, (got, want) in enumerate(zip_longest(ran.tiles, gold.tiles)):
         if got != want:
             return f"tile {i} is {want or 'absent'} in ROUTE, {got or 'absent'} when run"
-    want, got = _pose_text(gold.final_pose), _pose_text(ran.final_pose)
-    return f"final pose is {want} in ROUTE, {got} when run"
-
-
-def _pose_text(pose: Pose) -> str:
-    return f"({pose.street_id},{pose.index},{pose.travel_dir:+d})"
+    return f"final pose is {gold.final_pose} in ROUTE, {ran.final_pose} when run"
 
 
 def _seed(args) -> int:
@@ -144,7 +146,7 @@ def cmd_simulate(args) -> int:
         print("partial route: " + ";".join(str(t) for t in err.partial_route.tiles))
         return 1
     print(";".join(str(t) for t in route.tiles))
-    print(f"final pose: {_pose_text(route.final_pose)}")
+    print(f"final pose: {route.final_pose}")
     return 0
 
 

@@ -20,6 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 
+from .abstraction import is_variable_token
 from .executor import Action, Pose, Route, format_actions, parse_actions
 from .worldmap import TileCoord
 
@@ -70,10 +71,6 @@ class Corpus:
         return sum(len(p.instructions) for p in self.paragraphs)
 
 
-def _format_pose(pose: Pose) -> str:
-    return f"({pose.street_id},{pose.index},{pose.travel_dir:+d})"
-
-
 def _parse_pose(text: str, where: str) -> Pose:
     m = _POSE_RE.match(text)
     if not m:
@@ -86,7 +83,7 @@ def _parse_pose(text: str, where: str) -> Pose:
 def format_corpus(corpus: Corpus) -> str:
     lines = [f"CORPUS {CORPUS_VERSION}"]
     for p in corpus.paragraphs:
-        lines.append(f"PARAGRAPH {p.id} map={p.map_id} start={_format_pose(p.start)}")
+        lines.append(f"PARAGRAPH {p.id} map={p.map_id} start={p.start}")
         for i, instr in enumerate(p.instructions):
             lines.append(f"INSTRUCTION {i}")
             lines.append(f"TEXT {instr.text}")
@@ -97,7 +94,7 @@ def format_corpus(corpus: Corpus) -> str:
             else:
                 lines.append("BINDINGS -")
             tiles = ";".join(str(t) for t in instr.route.tiles)
-            lines.append(f"ROUTE {tiles} final={_format_pose(instr.route.final_pose)}")
+            lines.append(f"ROUTE {tiles} final={instr.route.final_pose}")
             lines.append("ACTIONS " + format_actions(instr.actions))
     return "\n".join(lines) + "\n"
 
@@ -152,6 +149,8 @@ def parse_corpus(text: str, source: str = "<string>") -> Corpus:
                     var, _, gid = part.partition("=")
                     if not gid or not gid.lstrip("-").isdigit():
                         fail(f"bad binding {part!r}")
+                    if not is_variable_token(var):
+                        fail(f"bad binding {part!r}: {var!r} is not a <TYPE_k> variable")
                     bindings.append((sys.intern(var), int(gid)))
             route_raw = expect("ROUTE")
             m2 = re.match(r"^(\S+) final=(\S+)$", route_raw)

@@ -60,6 +60,9 @@ class Pose(NamedTuple):
     index: int
     travel_dir: int  # +1 toward the street's end, -1 toward its start
 
+    def __str__(self) -> str:
+        return f"({self.street_id},{self.index},{self.travel_dir:+d})"
+
 
 @dataclass(frozen=True)
 class Route:

@@ -15,8 +15,8 @@ teacher-forced decoder on one row per gold action.
 
 Weight layout note: the decoder input weight is stored as one block per
 input source (previous action embedding, attention context, world state).
-Every tensor is initialized from its own seeded stream, so variants sharing
-a tensor name initialize it identically; zeroing the world blocks makes
+Every weight is initialized from its own seeded stream, so variants sharing
+a weight name initialize it identically; zeroing the world blocks makes
 CGAEW's forward pass collapse exactly onto CGA/CGAE.
 """
 
@@ -108,23 +108,21 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarr
 
 
 class ModelParameters:
-    """All trainable tensors, keyed by name, with per-tensor seeded init.
+    """All trainable weights as named views of one flat value and one flat gradient array.
 
-    Every tensor's ``data`` and ``grad`` are views into one flat value array
-    (``values``) and one flat gradient array (``grads``), laid out in the
-    order of ``tensors``: the ``enc_fwd_*`` and ``enc_bwd_*`` halves of each
-    encoder weight kind sit side by side, so ``enc_stacked[kind]`` and
-    ``enc_stacked_grads[kind]`` are ``(2, ...)`` views of both, and the
-    world tensors go last. The finiteness check, a snapshot and a restore
-    are each one array operation, and ``training.Adam`` updates the flat
-    arrays directly. The gradients start at zero; the backward pass adds
-    into them and ``Adam.step`` zeroes what it has read. Each tensor is
-    initialized from its own seeded stream, whatever its place.
+    ``w[name]`` is weight ``name``'s values and ``g[name]`` its gradient,
+    views into ``values`` and ``grads``, laid out in the order of ``names``
+    (the 17 or 19 weights a checkpoint holds). The ``enc_fwd_*`` and
+    ``enc_bwd_*`` halves of each encoder weight kind sit side by side, so
+    ``enc_Wx``, ``enc_Wh`` and ``enc_b`` are names too: ``(2, ...)`` views
+    of both halves, fwd then bwd, that ``_encoder`` reads and writes. The
+    world weights go last. A snapshot, a restore and ``training.Adam``'s
+    update each act on the flat arrays. The gradients start at zero; the
+    backward pass adds into them and ``Adam.step`` zeroes what it has read.
+    Each weight is initialized from its own seeded stream, whatever its place.
     """
 
     def __init__(self, config: ModelConfig, vocab_size: int, world_width: int):
-        self.config = config
-        self.vocab_size = vocab_size
         self.world_width = world_width  # here+ahead concatenated
         dtype = config.np_dtype()
         E, Hd = config.embed_dim, config.decoder_hidden
@@ -153,6 +151,7 @@ class ModelParameters:
         if config.uses_world:
             shapes["dec_W_world"] = (4 * Hd, world_width)
             shapes["att_Ww"] = (world_width, A)
+        self.names = tuple(shapes)
         self._spans: dict[str, tuple[int, tuple[int, ...]]] = {}  # name -> (offset, shape)
         size = 0
         for name, shape in shapes.items():
@@ -160,9 +159,10 @@ class ModelParameters:
             size += math.prod(shape)
         self.values = np.empty(size, dtype=dtype)
         self.grads = np.zeros(size, dtype=dtype)
-        self.tensors: dict[str, ad.Tensor] = {}
+        self.w = self.views(self.values)
+        self.g = self.views(self.grads)
         for name, shape in shapes.items():
-            data = self.view(self.values, name)
+            data = self.w[name]
             if name.endswith("_b"):
                 data[...] = 0.0
                 if name.startswith(("enc_", "dec_")):
@@ -171,22 +171,20 @@ class ModelParameters:
             else:
                 rng = np.random.default_rng([config.seed, zlib.crc32(name.encode())])
                 data[...] = _glorot(rng, shape, dtype)
-            self.tensors[name] = ad.Tensor(data, requires_grad=True)
-            self.tensors[name].grad = self.view(self.grads, name)
-        # ``_encoder`` reads and writes each weight kind of both directions as one array
-        self.enc_stacked = self._encoder_pairs(self.values)
-        self.enc_stacked_grads = self._encoder_pairs(self.grads)
 
-    def _encoder_pairs(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each encoder weight kind as one ``(2, ...)`` view of ``flat``: fwd, then bwd."""
-        spans = {kind: self._spans[f"enc_fwd_{kind}"] for kind in ("Wx", "Wh", "b")}
-        return {kind: flat[offset : offset + 2 * math.prod(shape)].reshape(2, *shape)
-                for kind, (offset, shape) in spans.items()}
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each weight's entries of a flat array laid out like ``values``, by name.
 
-    def view(self, flat: np.ndarray, name: str) -> np.ndarray:
-        """Tensor ``name``'s entries of a flat array laid out like ``values``."""
-        offset, shape = self._spans[name]
-        return flat[offset : offset + math.prod(shape)].reshape(shape)
+        Besides the weights of ``names``, ``enc_Wx``, ``enc_Wh`` and
+        ``enc_b`` are each encoder weight kind as one ``(2, ...)`` view: fwd,
+        then bwd.
+        """
+        views = {name: flat[offset : offset + math.prod(shape)].reshape(shape)
+                 for name, (offset, shape) in self._spans.items()}
+        for kind in ("Wx", "Wh", "b"):
+            offset, shape = self._spans[f"enc_fwd_{kind}"]
+            views[f"enc_{kind}"] = flat[offset : offset + 2 * math.prod(shape)].reshape(2, *shape)
+        return views
 
     def movable(self, world_features: np.ndarray | None) -> np.ndarray:
         """A mask over ``values`` of the entries a gradient can reach.
@@ -198,24 +196,10 @@ class ModelParameters:
         """
         mask = np.ones(self.values.size, dtype=bool)
         if world_features is not None and self.world_width:
-            self.view(mask, "dec_W_world")[:, ~world_features] = False
-            self.view(mask, "att_Ww")[~world_features] = False
+            views = self.views(mask)
+            views["dec_W_world"][:, ~world_features] = False
+            views["att_Ww"][~world_features] = False
         return mask
-
-    def __getitem__(self, name: str) -> ad.Tensor:
-        return self.tensors[name]
-
-    def items(self):
-        return self.tensors.items()
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
-    def snapshot(self) -> np.ndarray:
-        return self.values.copy()
-
-    def restore(self, values: np.ndarray) -> None:
-        self.values[...] = values
 
 
 # What ``_step_rows`` returns, one row per input row: log-probabilities over
@@ -259,25 +243,26 @@ class NavigationModel:
             raise ValueError("cannot encode an empty sentence")
         mask = self._dropout_mask((len(token_ids), self.config.embed_dim), dropout_rng)
         states, backward = self._encoder(token_ids, mask)
-        return states, states @ self.params["att_Wh"].data, backward
+        return states, states @ self.params.w["att_Wh"], backward
 
     def _encoder(self, token_ids, mask):
         """The embedding lookup, input dropout and both LSTM directions: (states, backward).
 
         Both directions run in one loop over the stacked ``(2, ...)`` weights
-        of ``ModelParameters.enc_stacked`` (and write their gradients into
-        ``enc_stacked_grads``): direction 0 reads the sentence
-        forwards, direction 1 backwards, and row t of the result holds both
-        states at token t. Every stacked product is one ``np.matmul`` per
+        ``enc_Wx``, ``enc_Wh`` and ``enc_b`` (see ``ModelParameters``), read
+        from ``params.w`` and with their gradients added into ``params.g``
+        under the same names. Direction 0 reads the sentence forwards,
+        direction 1 backwards, and row t of the result holds both states at
+        token t. Every stacked product is one ``np.matmul`` per
         direction, bit for bit the product one direction alone takes. The
         backward pass runs both directions in one loop too, takes each
         weight's gradient as one product over the whole sequence and ends
         with one ``np.add.at`` into ``tok_emb``. It passes its incoming
         gradient through ``corrupted("encoder", ...)``.
         """
-        p = self.params.tensors
-        Wx, Wh, b = (self.params.enc_stacked[w] for w in ("Wx", "Wh", "b"))
-        x = p["tok_emb"].data[token_ids]
+        w, dw = self.params.w, self.params.g
+        Wx, Wh, b = w["enc_Wx"], w["enc_Wh"], w["enc_b"]
+        x = w["tok_emb"][token_ids]
         if mask is not None:
             x = x * mask
         xs = np.stack([x, x[::-1]])
@@ -303,11 +288,11 @@ class NavigationModel:
                 dh_next = np.matmul(Wh.transpose(0, 2, 1), dz[:, t, :, None])[..., 0]
             dz_t = dz.transpose(0, 2, 1)
             grads = (np.matmul(dz_t, xs), np.matmul(dz_t, hs[:, :-1]), dz.sum(axis=1))
-            for kind, grad in zip(("Wx", "Wh", "b"), grads):
-                self.params.enc_stacked_grads[kind] += grad
+            for name, grad in zip(("enc_Wx", "enc_Wh", "enc_b"), grads):
+                dw[name] += grad
             dx = np.matmul(dz, Wx)
             dx = dx[0] + dx[1][::-1]  # both directions' gradients of each token's input
-            np.add.at(p["tok_emb"].grad, token_ids, dx if mask is None else dx * mask)
+            np.add.at(dw["tok_emb"], token_ids, dx if mask is None else dx * mask)
 
         return np.concatenate([hs[0, 1:], hs[1, 1:][::-1]], axis=-1), backward
 
@@ -327,12 +312,12 @@ class NavigationModel:
         ``h @ att_Ws``, plus its ``world @ att_Ww`` from ``world_u`` for
         CGAEW (None for CGA and CGAE).
         """
-        p = self.params.tensors
-        u = np.matmul(h[:, None, :], p["att_Ws"].data)[:, 0, :]
+        w = self.params.w
+        u = np.matmul(h[:, None, :], w["att_Ws"])[:, 0, :]
         if world_u is not None:
             u = u + world_u
         th = np.tanh(proj + u[:, None, :])
-        scores = np.matmul(th, p["att_v"].data)
+        scores = np.matmul(th, w["att_v"])
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights = e / e.sum(axis=-1, keepdims=True)
         context = np.matmul(weights[:, None, :], states)[:, 0, :]
@@ -340,12 +325,12 @@ class NavigationModel:
 
     def _cell(self, h, c, context, emb_z, world_z):
         """The decoder LSTM for every row: (h2, c2, gate activations, tanh(c2))."""
-        p = self.params.tensors
-        z = emb_z + np.matmul(p["dec_W_ctx"].data, context[:, :, None])[..., 0]
+        w = self.params.w
+        z = emb_z + np.matmul(w["dec_W_ctx"], context[:, :, None])[..., 0]
         if world_z is not None:
             z += world_z
-        z += np.matmul(p["dec_Wh"].data, h[:, :, None])[..., 0]
-        z += p["dec_b"].data
+        z += np.matmul(w["dec_Wh"], h[:, :, None])[..., 0]
+        z += w["dec_b"]
         acts, c2, tanh_c, h2 = ad._lstm_step(z, c)
         return h2, c2, acts, tanh_c
 
@@ -361,11 +346,11 @@ class NavigationModel:
         matrix-vector product per row. A plain GEMM over the rows
         (``X @ W.T``) differs from the per-row products in the last bits.
         """
-        p = self.params.tensors
+        w = self.params.w
         th, weights, context = self.attend(states, proj, h, world_u)
         h2, c2, acts, tanh_c = self._cell(h, c, context, emb_z, world_z)
         out_in = h2 if out_mask is None else h2 * out_mask
-        logits = np.matmul(p["out_W"].data, out_in[:, :, None])[..., 0] + p["out_b"].data
+        logits = np.matmul(w["out_W"], out_in[:, :, None])[..., 0] + w["out_b"]
         z = logits - logits.max(axis=-1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         return _Step(logp, h2, c2, th, weights, context, acts, tanh_c, out_in)
@@ -404,16 +389,16 @@ class NavigationModel:
         pin (see README, Model family).
         """
         cfg = self.config
-        p = self.params.tensors
+        w, dw = self.params.w, self.params.g
         T = len(action_ids)
         prev = [END_ID, *action_ids[:-1]]  # the start marker shares END's embedding
-        emb = p["act_emb"].data[prev]
-        emb_z = np.matmul(p["dec_W_emb"].data, emb[:, :, None])[..., 0]
+        emb = w["act_emb"][prev]
+        emb_z = np.matmul(w["dec_W_emb"], emb[:, :, None])[..., 0]
         world = world_z = world_u = None
         if cfg.uses_world:
             world = np.stack(worlds)
-            world_z = np.matmul(p["dec_W_world"].data, world[:, :, None])[..., 0]
-            world_u = np.matmul(world[:, None, :], p["att_Ww"].data)[:, 0, :]
+            world_z = np.matmul(w["dec_W_world"], world[:, :, None])[..., 0]
+            world_u = np.matmul(world[:, None, :], w["att_Ww"])[:, 0, :]
 
         def row(a, t):
             return None if a is None else a[t : t + 1]
@@ -447,9 +432,9 @@ class NavigationModel:
                 dlogits = np.exp(step.logp[0])
                 dlogits[target] -= 1.0
                 dlogits = g * dlogits
-                p["out_b"].grad += dlogits
+                dw["out_b"] += dlogits
                 add_outer("out_W", dlogits, step.out_in[0])
-                dout = p["out_W"].data.T @ dlogits
+                dout = w["out_W"].T @ dlogits
                 dh[t] += dout if mask is None else dout * mask[t]
             dc = 0.0
             for t in range(T - 1, -1, -1):
@@ -461,31 +446,31 @@ class NavigationModel:
                 if world is not None:
                     add_outer("dec_W_world", dz, world[t])
                 add_outer("dec_Wh", dz, h_prev[0])
-                p["dec_b"].grad += dz
+                dw["dec_b"] += dz
                 if t:
-                    dh[t - 1] += p["dec_Wh"].data.T @ dz
-                p["act_emb"].grad[prev[t]] += p["dec_W_emb"].data.T @ dz
+                    dh[t - 1] += w["dec_Wh"].T @ dz
+                dw["act_emb"][prev[t]] += w["dec_W_emb"].T @ dz
                 # attention: context = weights @ states, weights = softmax(th @ att_v)
-                dctx = p["dec_W_ctx"].data.T @ dz
+                dctx = w["dec_W_ctx"].T @ dz
                 weights = step.weights[0]
                 dweights = states @ dctx
                 dstates += np.outer(weights, dctx)
                 dscores = weights * (dweights - np.dot(dweights, weights))
                 th = step.th[0]
-                p["att_v"].grad += th.T @ dscores
-                da = ad.corrupted("tanh", np.outer(dscores, p["att_v"].data)) * (1.0 - th * th)
+                dw["att_v"] += th.T @ dscores
+                da = ad.corrupted("tanh", np.outer(dscores, w["att_v"])) * (1.0 - th * th)
                 dproj += da
                 du = da.sum(axis=0)
                 if world is not None:
                     add_outer("att_Ww", world[t], du)
                 if t:
-                    dh[t - 1] += p["att_Ws"].data @ du
+                    dh[t - 1] += w["att_Ws"] @ du
                 add_outer("att_Ws", h_prev[0], du)
             # the attention projection proj = states @ att_Wh
-            dstates += dproj @ p["att_Wh"].data.T
-            p["att_Wh"].grad += states.T @ dproj
+            dstates += dproj @ w["att_Wh"].T
+            dw["att_Wh"] += states.T @ dproj
             for name, (left, right) in outer.items():
-                p[name].grad += np.stack(left, axis=1) @ np.stack(right)
+                dw[name] += np.stack(left, axis=1) @ np.stack(right)
             encoder_backward(dstates)
 
         return ad.Tensor(loss, requires_grad=True, backward_fn=backward)
@@ -522,7 +507,7 @@ class NavigationModel:
             grid, pose, bindings, self.layout,
             horizon=self.config.horizon, radius=self.config.radius,
             dtype=self.config.np_dtype(),
-        ).concat()
+        )
 
     def _beam(self, states, proj, p0, grid, bindings, width) -> BeamResult:
         """The beam and the pinned greedy rollout, one batched ``_step_rows`` per time step.
@@ -534,12 +519,12 @@ class NavigationModel:
         beam hypotheses only.
         """
         cfg = self.config
-        p = self.params.tensors
+        w = self.params.w
         alpha = cfg.length_norm_alpha
         # The products that depend only on the previous action or the world
         # vector: one per action id, and one pair per distinct world vector
         # of this sentence (many poses share one), found by pose.
-        emb_z = np.matmul(p["dec_W_emb"].data, p["act_emb"].data[:, :, None])[..., 0]
+        emb_z = np.matmul(w["dec_W_emb"], w["act_emb"][:, :, None])[..., 0]
         at_pose: dict[Pose, tuple[np.ndarray, np.ndarray]] = {}
         of_world: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -550,7 +535,7 @@ class NavigationModel:
                 key = world.tobytes()
                 terms = of_world.get(key)
                 if terms is None:
-                    terms = of_world[key] = (p["dec_W_world"].data @ world, world @ p["att_Ww"].data)
+                    terms = of_world[key] = (w["dec_W_world"] @ world, world @ w["att_Ww"])
                 at_pose[pose] = terms
             return terms
 
@@ -637,7 +622,7 @@ class NavigationModel:
             "world_layout": self.layout.describe() if self.layout else None,
             "world_width": self.params.world_width,
         }
-        arrays = {f"param/{k}": t.data for k, t in self.params.items()}
+        arrays = {f"param/{name}": self.params.w[name] for name in self.params.names}
         np.savez(path, __header__=np.array(json.dumps(header, sort_keys=True)), **arrays)
 
     @classmethod
@@ -659,17 +644,17 @@ class NavigationModel:
                     slots_per_type=header["world_layout"]["slots_per_type"],
                 )
             model = cls(config, vocab, layout)
-            for k, t in model.params.items():
-                key = f"param/{k}"
+            for name in model.params.names:
+                key, weight = f"param/{name}", model.params.w[name]
                 if key not in archive:
                     raise ValueError(
-                        f"{path}: checkpoint has no array {key!r} (expected shape {t.data.shape})"
+                        f"{path}: checkpoint has no array {key!r} (expected shape {weight.shape})"
                     )
                 value = archive[key]
-                if value.shape != t.data.shape:
+                if value.shape != weight.shape:
                     raise ValueError(
-                        f"{path}: array {key!r} has shape {value.shape}, expected {t.data.shape}"
+                        f"{path}: array {key!r} has shape {value.shape}, expected {weight.shape}"
                     )
-                t.data[...] = value
+                weight[...] = value
         return model
 

@@ -248,7 +248,7 @@ def train(
                      config.learning_rate)
 
     logs: list[EpochLog] = []
-    best_values = params.snapshot()
+    best_values = params.values.copy()
     order = np.arange(len(train_ex))
     # A step that overflows is caught by the finiteness checks below, so NumPy's
     # overflow warnings would only repeat the ``TrainingDiverged`` error.
@@ -269,10 +269,10 @@ def train(
             logs.append(EpochLog(epoch, total / max(1, len(train_ex)), _mean_nll(model, val_ex)))
             kept = kept_epoch(logs)
             if kept == epoch:
-                best_values = params.snapshot()
+                best_values = params.values.copy()
             elif config.early_stop_patience and epoch - kept >= config.early_stop_patience:
                 break
-    params.restore(best_values)
+    params.values[...] = best_values
     return model, logs
 
 
@@ -280,27 +280,30 @@ def train(
 
 
 def finite_difference_check(
-    build_loss, params, h: float = 1e-4, corrupt_rule: str | None = None, corrupt_scale: float = 2.0
+    build_loss, params, names, h: float = 1e-4, corrupt_rule: str | None = None,
+    corrupt_scale: float = 2.0,
 ) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
-    ``build_loss`` must compute the loss from the current parameter values
-    on every call. Parameters must be float64 for the stated
-    tolerances to be meaningful.
+    ``params`` is a ``ModelParameters``; the weights checked are ``names``,
+    each a named view of its flat arrays (``params.w``). One backward pass
+    from zeroed gradients gives every analytic gradient at once; each entry
+    of each named weight is then nudged in place. ``build_loss`` must
+    compute the loss from the current values on every call. The weights
+    must be float64 for the stated tolerances to be meaningful.
     """
     loss = build_loss()
-    for p in params:
-        p.grad.fill(0)
+    params.grads.fill(0)
     ad.backward(loss, corrupt_rule=corrupt_rule, corrupt_scale=corrupt_scale)
-    analytic = [p.grad.copy() for p in params]
+    analytic = params.views(params.grads.copy())
 
     def eval_loss() -> float:
         return float(build_loss().data)
 
     worst = 0.0
-    for p, grad in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = grad.reshape(-1)
+    for name in names:
+        flat = params.w[name].reshape(-1)
+        gflat = analytic[name].reshape(-1)
         for j in range(flat.size):
             keep = flat[j]
             flat[j] = keep + h
@@ -409,6 +412,5 @@ def gradient_check(seed: int = 0, corrupt_rule: str | None = None) -> float:
     def build_loss():
         return model.sentence_loss(token_ids, action_ids, worlds, dropout_rng=None)
 
-    return finite_difference_check(
-        build_loss, list(model.params.tensors.values()), corrupt_rule=corrupt_rule
-    )
+    return finite_difference_check(build_loss, model.params, model.params.names,
+                                   corrupt_rule=corrupt_rule)

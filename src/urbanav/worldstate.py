@@ -1,7 +1,8 @@
 """World-state features: what is at the agent's position and on the path ahead.
 
-Both vectors are multi-hot over a fixed layout: one bit per entity type in
-the closed inventory, then one slot per ``<TYPE_k>`` variable token up to a
+The world vector is one array, ``here || ahead``. Both halves are
+multi-hot over a fixed layout: one bit per entity type in the closed
+inventory, then one slot per ``<TYPE_k>`` variable token up to a
 fixed k per type. Variables beyond the slot budget contribute no slot and
 fall back to their type bit. A vector is a function of the pose and the
 sentence's bindings alone, never updated incrementally from the previous
@@ -23,8 +24,6 @@ from .abstraction import parse_variable
 from .executor import Pose, pose_tile
 from .worldmap import ENTITY_TYPES, GridMap
 
-DEFAULT_HORIZON = 10
-DEFAULT_RADIUS = 1
 DEFAULT_SLOTS_PER_TYPE = 4
 
 
@@ -52,34 +51,26 @@ class WorldStateLayout:
         return {"types": list(self.types), "slots_per_type": self.slots_per_type}
 
 
-@dataclass(frozen=True)
-class WorldState:
-    here: np.ndarray
-    ahead: np.ndarray
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.here, self.ahead])
-
-
 def compute(
     grid: GridMap,
     pose: Pose,
     bindings,
     layout: WorldStateLayout,
-    horizon: int = DEFAULT_HORIZON,
-    radius: int = DEFAULT_RADIUS,
+    horizon: int,
+    radius: int,
     dtype=np.float32,
-) -> WorldState:
-    """World state at ``pose`` for one sentence's variable bindings.
+) -> np.ndarray:
+    """The world vector ``here || ahead`` at ``pose`` for one sentence's variable bindings.
 
-    Type bits: an entity of type t intersects the Chebyshev ball around the
-    current tile (here) or a tile of the path ahead (ahead). Variable slots:
+    Each half is ``layout.width`` wide. Type bits: an entity of type t
+    intersects the Chebyshev ball around the current tile (here) or a tile
+    of the path ahead (ahead). Variable slots:
     the bound grounding (entity or street) intersects the same scope. A
     pose that names no tile raises ``InvalidPose`` (from
     ``GridMap.types_near`` on a cache miss, and ``GridMap.path_ahead``).
     """
-    here = np.zeros(layout.width, dtype=dtype)
-    ahead = np.zeros(layout.width, dtype=dtype)
+    world = np.zeros(2 * layout.width, dtype=dtype)
+    here, ahead = world[: layout.width], world[layout.width :]
     here_types, ahead_types = grid.types_near(pose, horizon, radius)
     for etype in here_types:
         here[layout.type_index(etype)] = 1.0
@@ -97,4 +88,4 @@ def compute(
             footprint = grid.tiles_within(gid, 0)
             if any(t in footprint for t in ahead_tiles):
                 ahead[slot] = 1.0
-    return WorldState(here, ahead)
+    return world

@@ -62,30 +62,28 @@ ENCODER_WEIGHTS = ["tok_emb", "enc_fwd_Wx", "enc_fwd_Wh", "enc_fwd_b",
 def _encoder_op():
     """The encoder of a tiny float64 CGA model: one fixed dropout mask, repeated token ids."""
     model = _tiny_model()
-    p = model.params
 
     def build():
         return model.sentence_loss([3, 2, 4, 3, 3], [0, 2, 4], None, np.random.default_rng(93))
 
-    return build, [p[n] for n in ENCODER_WEIGHTS]
+    return build, model.params, ENCODER_WEIGHTS
 
 
 def _decoder_op():
     """The teacher-forced decoder of a tiny float64 CGAEW model, one fixed dropout mask."""
     model = _tiny_model("CGAEW")
     worlds = list((np.random.default_rng(91).random((4, 2 * model.layout.width)) < 0.5) * 1.0)
-    p = model.params
 
     def build():
         return model.sentence_loss([2, 3, 4, 2], [0, 1, 0, 4], worlds, np.random.default_rng(92))
 
-    return build, [p["att_Wh"], p["att_Ws"], p["att_Ww"], p["att_v"]]
+    return build, model.params, ["att_Wh", "att_Ws", "att_Ww", "att_v"]
 
 
 def test_lstm_sequence_gradcheck():
     """The encoder op's weights, through ``sentence_loss``, against central differences."""
-    build, params = _encoder_op()
-    assert finite_difference_check(build, params, h=1e-4) < 1e-6
+    build, params, names = _encoder_op()
+    assert finite_difference_check(build, params, names, h=1e-4) < 1e-6
 
 
 def test_lstm_sequence_matches_cell_loop():
@@ -94,7 +92,7 @@ def test_lstm_sequence_matches_cell_loop():
     for dtype in ("float32", "float64"):
         model = _tiny_model(dtype=dtype, dropout_keep=1.0, seed=4)
         states, proj, _ = model.encode(ids)
-        p = {k: t.data for k, t in model.params.items()}
+        p = model.params.w
         x = p["tok_emb"][ids]
         directions = []
         for d, xs in (("fwd", x), ("bwd", x[::-1])):
@@ -118,5 +116,5 @@ def test_lstm_sequence_matches_cell_loop():
     ("encoder", _encoder_op),
 ])
 def test_corrupted_fused_rule_is_detected(rule, op):
-    build, params = op()
-    assert finite_difference_check(build, params, h=1e-4, corrupt_rule=rule) > 1e-2
+    build, params, names = op()
+    assert finite_difference_check(build, params, names, h=1e-4, corrupt_rule=rule) > 1e-2

@@ -112,6 +112,9 @@ BROKEN_CORPORA = {
     "unknown binding": (21, "<CAFE_1>=11", "<CAFE_1>=9999",
                         "paragraph synth-1-p0000, instruction 2: "
                         "binding <CAFE_1>=9999 names nothing on map synth-1"),
+    "binding of another type": (21, "<CAFE_1>=11", "<CAFE_1>=6",
+                                "paragraph synth-1-p0000, instruction 2: "
+                                "binding <CAFE_1>=6 names a street on map synth-1, not a cafe"),
     "bad start pose": (2, "start=(6,13,+1)", "start=(6,99,-1)",
                        "paragraph synth-1-p0000, instruction 0: "
                        "bad start pose: index 99 is off street 6 of length 18"),

@@ -79,6 +79,11 @@ def test_parse_rejects_bad_binding():
     )
     with pytest.raises(CorpusFormatError, match="binding"):
         parse_corpus(text)
+    # a well-formed id bound to a name that is not a <TYPE_k> variable token
+    text = _one_instruction("(1,0,+1)", "(1,0,+1)", "END").replace("BINDINGS -", "BINDINGS bank=11")
+    expected = r"^corpus\.txt:7: bad binding 'bank=11': 'bank' is not a <TYPE_k> variable$"
+    with pytest.raises(CorpusFormatError, match=expected):
+        parse_corpus(text, source="corpus.txt")
 
 
 def test_parse_names_line_numbers():

@@ -331,7 +331,7 @@ def test_bad_start_pose_fails_action_zero(pose):
         assert isinstance(exc.value.cause, InvalidPose)
         assert exc.value.partial_route == Route((), pose)
     with pytest.raises(InvalidPose):
-        compute_world(grid, pose, (), WorldStateLayout())
+        compute_world(grid, pose, (), WorldStateLayout(), horizon=10, radius=1)
     with pytest.raises(InvalidPose):
         route_to_actions(grid, pose, Route((TileCoord(0, 7),), pose))
     assert grid.pose_table == {}

@@ -12,6 +12,7 @@ from urbanav.executor import Action, Pose
 from urbanav.model import (
     ACTIONS,
     ACTION_IDS,
+    CHECKPOINT_VERSION,
     END_ID,
     ModelConfig,
     NavigationModel,
@@ -75,7 +76,7 @@ def test_encode_zero_weights_collapses_positions():
     model = tiny_model()
     for name in ("enc_fwd_Wx", "enc_fwd_Wh", "enc_fwd_b",
                  "enc_bwd_Wx", "enc_bwd_Wh", "enc_bwd_b"):
-        model.params[name].data[...] = 0.0
+        model.params.w[name][...] = 0.0
     states, _, _ = model.encode(VOCAB.encode(["walk", "until", "you"]))
     assert np.allclose(states, 0.0)
     assert np.allclose(states[0], states[1])
@@ -88,7 +89,7 @@ def test_encode_matches_hand_unrolled_recurrence():
     states, _, _ = model.encode(token_ids)
 
     # independent naive unroll with plain numpy
-    p = {k: t.data for k, t in model.params.items()}
+    p = model.params.w
     H = 4
 
     def sig(x):
@@ -118,7 +119,7 @@ def test_encode_matches_hand_unrolled_recurrence():
 
 def step_inputs(model, prev_ids, worlds):
     """``_step_rows``'s per-row products: (emb_z, world_z, world_u), one row per action id."""
-    p = {k: t.data for k, t in model.params.items()}
+    p = model.params.w
     emb_z = np.stack([p["dec_W_emb"] @ p["act_emb"][a] for a in prev_ids])
     if not model.config.uses_world:
         return emb_z, None, None
@@ -151,7 +152,7 @@ def test_attention_weights_sum_to_one():
 def test_cgaew_attention_with_zero_world_weights_equals_cgae():
     cgae = tiny_model("CGAE")
     cgaew = tiny_model("CGAEW")
-    cgaew.params["att_Ww"].data[...] = 0.0
+    cgaew.params.w["att_Ww"][...] = 0.0
     token_ids = VOCAB.encode(["walk", "until", "you"])
     s_vec = np.random.default_rng(1).normal(size=(1, 8))
     _, _, world_u = step_inputs(cgaew, [END_ID], [dummy_world()])
@@ -181,8 +182,8 @@ def test_decoder_step_distribution_sums_to_one():
 
 def test_zero_output_projection_gives_uniform():
     model = tiny_model()
-    model.params["out_W"].data[...] = 0.0
-    model.params["out_b"].data[...] = 0.0
+    model.params.w["out_W"][...] = 0.0
+    model.params.w["out_b"][...] = 0.0
     probs, _ = first_step_probs(model, [2])
     assert np.allclose(probs, 0.2)
 
@@ -191,8 +192,8 @@ def test_ablation_nesting_cgaew_with_zero_world_equals_cga():
     """Zeroed world blocks collapse CGAEW onto CGA bit for bit."""
     cga = tiny_model("CGA")
     cgaew = tiny_model("CGAEW")
-    cgaew.params["att_Ww"].data[...] = 0.0
-    cgaew.params["dec_W_world"].data[...] = 0.0
+    cgaew.params.w["att_Ww"][...] = 0.0
+    cgaew.params.w["dec_W_world"][...] = 0.0
     token_ids = VOCAB.encode(["walk", "until", "you", "reach", "<SHOP_1>"])
     action_ids = [ACTION_IDS[Action.WALK]] * 3 + [ACTION_IDS[Action.END]]
     worlds = [dummy_world() for _ in action_ids]
@@ -201,12 +202,12 @@ def test_ablation_nesting_cgaew_with_zero_world_equals_cga():
     assert loss_cga.data == loss_cgaew.data
     ad.backward(loss_cga)
     ad.backward(loss_cgaew)
-    for name, t in cga.params.items():
-        assert np.array_equal(t.grad, cgaew.params[name].grad), name
+    for name in cga.params.names:
+        assert np.array_equal(cga.params.g[name], cgaew.params.g[name]), name
 
     # favour WALK over END so the width-4 beam decodes more than END
     for model in (cga, cgaew):
-        model.params["out_b"].data[[ACTION_IDS[Action.WALK], END_ID]] = (3.0, -1.0)
+        model.params.w["out_b"][[ACTION_IDS[Action.WALK], END_ID]] = (3.0, -1.0)
     grid = plus_map()
     p0 = Pose(2, 0, 1)
     tokens = ["walk", "until", "you", "reach", "<SHOP_1>"]
@@ -245,7 +246,7 @@ def test_beam_width_one_is_greedy():
 
     for _ in range(model.config.max_decode_len):
         world = compute_world(grid, pose, bindings, LAYOUT, horizon=4, radius=1,
-                              dtype=np.float64).concat()
+                              dtype=np.float64)
         step = model._step_rows(states, proj, h, c,
                                 *step_inputs(model, [ACTION_IDS[prev]], [world]))
         h, c = step.h, step.c
@@ -400,33 +401,34 @@ def test_sentence_loss_gradcheck_with_dropout(variant):
     def build():  # a fresh stream each time: the same dropout masks on every call
         return model.sentence_loss(token_ids, action_ids, worlds, np.random.default_rng(8))
 
-    params = list(model.params.tensors.values())
-    assert finite_difference_check(build, params, h=1e-4) < 1e-5
+    assert finite_difference_check(build, model.params, model.params.names, h=1e-4) < 1e-5
 
 
 def test_parameters_are_views_of_one_flat_buffer(tmp_path):
-    """Every tensor is a view of the flat value and gradient arrays, and so
-    are the stacked encoder weights; loading writes into the views."""
+    """Every weight is a named view of the flat value and gradient arrays, and
+    so is each stacked encoder kind; loading writes into the views."""
     model = tiny_model()
     params = model.params
-    assert sum(t.data.size for _, t in params.items()) == params.values.size == params.grads.size
-    for name, t in params.items():
-        assert np.shares_memory(t.data, params.values), name
-        assert np.shares_memory(t.grad, params.grads), name
+    params.values[:] = np.arange(params.values.size)  # distinct values, so any misplaced view shows
+    assert sum(params.w[name].size for name in params.names) == params.values.size
+    assert params.values.size == params.grads.size
+    assert set(params.w) == set(params.g) == {*params.names, "enc_Wx", "enc_Wh", "enc_b"}
+    for name in params.names:
+        assert np.shares_memory(params.w[name], params.values), name
+        assert np.shares_memory(params.g[name], params.grads), name
     for kind in ("Wx", "Wh", "b"):
         for half, direction in enumerate(("fwd", "bwd")):
-            tensor = params[f"enc_{direction}_{kind}"]
-            assert np.shares_memory(params.enc_stacked[kind][half], tensor.data)
-            assert np.array_equal(params.enc_stacked[kind][half], tensor.data)
-            assert np.shares_memory(params.enc_stacked_grads[kind][half], tensor.grad)
-    assert list(params.tensors)[-2:] == ["dec_W_world", "att_Ww"]
-    params.values[:] = np.arange(params.values.size)  # distinct values, so any misplaced view shows
+            name = f"enc_{direction}_{kind}"
+            assert np.shares_memory(params.w[f"enc_{kind}"][half], params.w[name])
+            assert np.array_equal(params.w[f"enc_{kind}"][half], params.w[name])
+            assert np.shares_memory(params.g[f"enc_{kind}"][half], params.g[name])
+    assert params.names[-2:] == ("dec_W_world", "att_Ww")
     model.save(tmp_path / "model.npz")
     loaded = NavigationModel.load(tmp_path / "model.npz")
     assert np.array_equal(loaded.params.values, params.values)
-    for name, t in loaded.params.items():
-        assert np.array_equal(t.data, params[name].data), name
-        assert np.shares_memory(t.data, loaded.params.values), name
+    for name in loaded.params.names:
+        assert np.array_equal(loaded.params.w[name], params.w[name]), name
+        assert np.shares_memory(loaded.params.w[name], loaded.params.values), name
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -436,12 +438,33 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = NavigationModel.load(path)
     assert loaded.config == model.config
     assert loaded.vocab.tokens == model.vocab.tokens
-    for k, t in model.params.items():
-        assert np.array_equal(loaded.params[k].data, t.data)
+    for name in model.params.names:
+        assert np.array_equal(loaded.params.w[name], model.params.w[name])
     grid = straight_map()
     a = model.beam_search(["walk"], Pose(1, 0, 1), grid, (), beam_width=2)
     b = loaded.beam_search(["walk"], Pose(1, 0, 1), grid, (), beam_width=2)
     assert a.actions == b.actions and a.score == b.score
+
+
+def test_checkpoint_format_is_pinned(tmp_path):
+    """A CGAEW checkpoint holds the header and one ``param/<name>`` array per
+    weight, in layout order, and nothing for the stacked encoder views; a
+    save, load, save round trip writes equal arrays."""
+    model = tiny_model("CGAEW")
+    assert CHECKPOINT_VERSION == 1
+    assert model.params.names == (
+        "tok_emb", "act_emb", "enc_fwd_Wx", "enc_bwd_Wx", "enc_fwd_Wh", "enc_bwd_Wh",
+        "enc_fwd_b", "enc_bwd_b", "dec_W_emb", "dec_W_ctx", "dec_Wh", "dec_b",
+        "att_Wh", "att_Ws", "att_v", "out_W", "out_b", "dec_W_world", "att_Ww",
+    )
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    model.save(first)
+    NavigationModel.load(first).save(second)
+    with np.load(first) as a, np.load(second) as b:
+        assert a.files == ["__header__", *(f"param/{name}" for name in model.params.names)]
+        assert b.files == a.files
+        for key in a.files:
+            assert np.array_equal(a[key], b[key]), key
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -521,8 +544,7 @@ def test_training_is_bit_deterministic(synth_small):
     m1, logs1 = train(pairs[:10], pairs[10:], config)
     m2, logs2 = train(pairs[:10], pairs[10:], config)
     assert logs1 == logs2
-    for k, t in m1.params.items():
-        assert np.array_equal(t.data, m2.params[k].data)
+    assert np.array_equal(m1.params.values, m2.params.values)
 
 
 def test_training_never_decodes(synth_small, monkeypatch):
@@ -567,7 +589,7 @@ def test_optimizer_divergence_names_epoch_and_example(synth_small, monkeypatch):
         def poisoned(g):
             backward(g)
             if len(steps) == 3:  # an infinite gradient makes Adam's update NaN
-                self.params["dec_b"].grad[0] = np.inf
+                self.params.g["dec_b"][0] = np.inf
 
         loss.backward_fn = poisoned
         return loss
@@ -599,10 +621,10 @@ def test_training_leaves_unseen_world_features_at_init(synth_small):
     for instr, grid in pairs[:10]:
         seen |= np.any(build_example(instr, grid, fresh).worlds, axis=0)
     assert 0 < seen.sum() < seen.size
-    trained_w, fresh_w = model.params["dec_W_world"].data, fresh.params["dec_W_world"].data
+    trained_w, fresh_w = model.params.w["dec_W_world"], fresh.params.w["dec_W_world"]
     assert np.array_equal(trained_w[:, ~seen], fresh_w[:, ~seen])
     assert not np.array_equal(trained_w[:, seen], fresh_w[:, seen])
-    trained_a, fresh_a = model.params["att_Ww"].data, fresh.params["att_Ww"].data
+    trained_a, fresh_a = model.params.w["att_Ww"], fresh.params.w["att_Ww"]
     assert np.array_equal(trained_a[~seen], fresh_a[~seen])
     assert not np.array_equal(trained_a[seen], fresh_a[seen])
 
@@ -613,7 +635,7 @@ def test_parameters_stay_finite_after_steps(synth_small):
     config = ModelConfig(variant="CGAEW", embed_dim=8, encoder_hidden=8,
                          decoder_hidden=8, epochs=1, seed=2)
     model, _ = train(pairs[:8], pairs[8:], config)
-    assert model.params.all_finite()
+    assert np.isfinite(model.params.values).all()
 
 
 def test_adam_updates_in_place_and_matches_reference(monkeypatch):

@@ -63,6 +63,7 @@ def test_field_access_order_and_text():
     assert (tile.col, tile.row) == (3, 4)
     assert (pose.street_id, pose.index, pose.travel_dir) == (2, 5, -1)  # index shadows tuple.index
     assert str(tile) == "(3,4)"
+    assert (str(pose), str(Pose(7, 0, 1))) == ("(2,5,-1)", "(7,0,+1)")
     assert repr(tile) == "TileCoord(col=3, row=4)"
     assert repr(pose) == "Pose(street_id=2, index=5, travel_dir=-1)"
     assert sorted([TileCoord(2, 0), TileCoord(1, 9), TileCoord(1, 3)]) == [

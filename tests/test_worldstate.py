@@ -7,6 +7,7 @@ from urbanav.worldstate import WorldStateLayout, compute
 from conftest import random_pose
 
 LAYOUT = WorldStateLayout()
+W = LAYOUT.width  # the ``here`` half is world[:W], the ``ahead`` half world[W:]
 
 
 def bruteforce_state(grid, pose, bindings, layout, horizon, radius):
@@ -50,35 +51,34 @@ def test_layout_width_and_slots():
 
 def test_empty_scope_is_all_zero():
     grid = GridMap("m", 6, 6, streets=[Street(id=1, tiles=tuple(TileCoord(c, 0) for c in range(6)))])
-    state = compute(grid, Pose(1, 0, 1), (), LAYOUT)
-    assert not state.here.any() and not state.ahead.any()
+    world = compute(grid, Pose(1, 0, 1), (), LAYOUT, horizon=10, radius=1)
+    assert world.shape == (2 * W,) and not world.any()
 
 
 def test_bound_entity_adjacent_sets_here_slot(plus):
     # macy's (shop, id 10) sits at (4,5); pose on 7th street at (3,5) is adjacent
     pose = Pose(1, 5, -1)
     bindings = (("<SHOP_1>", 10),)
-    state = compute(plus, pose, bindings, LAYOUT, radius=1)
+    here = compute(plus, pose, bindings, LAYOUT, horizon=10, radius=1)[:W]
     slot = LAYOUT.slot_index("<SHOP_1>")
-    assert state.here[slot] == 1.0
-    assert state.here[LAYOUT.type_index("shop")] == 1.0
+    assert here[slot] == 1.0
+    assert here[LAYOUT.type_index("shop")] == 1.0
 
 
 def test_ahead_tracks_path_not_radius(plus):
     # signal at the crossing (3,3); pose heading north from (3,6)
     pose = Pose(1, 6, -1)
-    state = compute(plus, pose, (), LAYOUT, horizon=10, radius=1)
-    assert state.ahead[LAYOUT.type_index("traffic_signal")] == 1.0
-    assert state.here[LAYOUT.type_index("traffic_signal")] == 0.0
+    world = compute(plus, pose, (), LAYOUT, horizon=10, radius=1)
+    assert world[W + LAYOUT.type_index("traffic_signal")] == 1.0
+    assert world[LAYOUT.type_index("traffic_signal")] == 0.0
 
 
 def test_vectors_are_binary(synth_small):
     maps, corpus = synth_small
     for p, instr in list(corpus.instructions())[:40]:
         grid = maps[p.map_id]
-        state = compute(grid, instr.start, instr.bindings, LAYOUT)
-        for vec in (state.here, state.ahead):
-            assert set(np.unique(vec)).issubset({0.0, 1.0})
+        world = compute(grid, instr.start, instr.bindings, LAYOUT, horizon=10, radius=1)
+        assert set(np.unique(world)).issubset({0.0, 1.0})
 
 
 def test_compute_matches_bruteforce_on_synthetic(synth_small):
@@ -100,10 +100,10 @@ def test_compute_matches_bruteforce_on_synthetic(synth_small):
                 bindings.append((f"<{etype.upper()}_{seen[etype]}>", gid))
             horizon = int(rng.integers(0, 12))
             radius = int(rng.integers(0, 3))
-            state = compute(grid, pose, tuple(bindings), LAYOUT, horizon=horizon, radius=radius)
+            world = compute(grid, pose, tuple(bindings), LAYOUT, horizon=horizon, radius=radius)
             here, ahead = bruteforce_state(grid, pose, tuple(bindings), LAYOUT, horizon, radius)
-            assert np.array_equal(state.here, here)
-            assert np.array_equal(state.ahead, ahead)
+            assert np.array_equal(world[:W], here)
+            assert np.array_equal(world[W:], ahead)
 
 
 def test_ahead_monotone_in_horizon(synth_small):
@@ -116,10 +116,10 @@ def test_ahead_monotone_in_horizon(synth_small):
         pose = random_pose(grid, rng)
         prev = None
         for horizon in (0, 2, 5, 9, 14):
-            state = compute(grid, pose, tuple(named), LAYOUT, horizon=horizon)
+            ahead = compute(grid, pose, tuple(named), LAYOUT, horizon=horizon, radius=1)[W:]
             if prev is not None:
-                assert np.all(state.ahead >= prev)
-            prev = state.ahead
+                assert np.all(ahead >= prev)
+            prev = ahead
 
 
 def test_locality_outside_scope():
@@ -133,13 +133,11 @@ def test_locality_outside_scope():
     pose = Pose(1, 1, 1)
     s1 = compute(with_far, pose, (), LAYOUT, horizon=3, radius=1)
     s2 = compute(without, pose, (), LAYOUT, horizon=3, radius=1)
-    assert np.array_equal(s1.here, s2.here)
-    assert np.array_equal(s1.ahead, s2.ahead)
+    assert np.array_equal(s1, s2)
 
 
 def test_width_constant_across_poses(plus):
     widths = set()
     for pose in (Pose(1, 0, 1), Pose(2, 6, -1), Pose(1, 3, 1)):
-        state = compute(plus, pose, (), LAYOUT)
-        widths.add((state.here.shape[0], state.ahead.shape[0]))
-    assert widths == {(LAYOUT.width, LAYOUT.width)}
+        widths.add(compute(plus, pose, (), LAYOUT, horizon=10, radius=1).shape)
+    assert widths == {(2 * LAYOUT.width,)}
