@@ -103,8 +103,8 @@ def parse_corpus(text: str, source: str = "<string>") -> Corpus:
     lines = text.splitlines()
     pos = 0
 
-    def fail(msg: str):
-        raise CorpusFormatError(f"{source}:{pos}: {msg}")
+    def fail(msg: str, line: int | None = None):
+        raise CorpusFormatError(f"{source}:{pos if line is None else line}: {msg}")
 
     def next_line() -> str | None:
         nonlocal pos
@@ -142,8 +142,9 @@ def parse_corpus(text: str, source: str = "<string>") -> Corpus:
             text_line = expect("TEXT")
             tokens = tuple(map(sys.intern, expect("TOKENS").split()))
             abstract = tuple(map(sys.intern, expect("ABSTRACT").split()))
+            abstract_line = pos
             bindings_raw = expect("BINDINGS")
-            bindings: list[tuple[str, int]] = []
+            bindings: dict[str, int] = {}
             if bindings_raw.strip() != "-":
                 for part in bindings_raw.split(";"):
                     var, _, gid = part.partition("=")
@@ -151,7 +152,12 @@ def parse_corpus(text: str, source: str = "<string>") -> Corpus:
                         fail(f"bad binding {part!r}")
                     if not is_variable_token(var):
                         fail(f"bad binding {part!r}: {var!r} is not a <TYPE_k> variable")
-                    bindings.append((sys.intern(var), int(gid)))
+                    if var in bindings:
+                        fail(f"bad binding {part!r}: {var} is bound twice")
+                    bindings[sys.intern(var)] = int(gid)
+            for token in abstract:
+                if token not in bindings and is_variable_token(token):
+                    fail(f"ABSTRACT variable {token} is bound by no BINDINGS entry", abstract_line)
             route_raw = expect("ROUTE")
             m2 = re.match(r"^(\S+) final=(\S+)$", route_raw)
             if not m2:
@@ -173,7 +179,7 @@ def parse_corpus(text: str, source: str = "<string>") -> Corpus:
                     text=text_line,
                     tokens=tokens,
                     abstract_tokens=abstract,
-                    bindings=tuple(bindings),
+                    bindings=tuple(bindings.items()),
                     start=instructions[-1].route.final_pose if instructions else start,
                     route=Route(tuple(tiles), final),
                     actions=actions,

@@ -237,24 +237,22 @@ def _runway(grid: GridMap, pose: Pose) -> int:
     return n - 1 - pose.index if pose.travel_dir == 1 else pose.index
 
 
-def _scan_targets(grid: GridMap, pose: Pose, lo: int, hi: int):
+def _scan_targets(grid: GridMap, names: dict[int, str], pose: Pose, lo: int, hi: int):
     """Named groundings whose first adjacency along the walk is in [lo, hi].
 
-    Returns (first_index, grounding id) pairs; the stop tile for "walk until
-    X" is exactly where X first enters the radius-1 neighborhood, which is
-    also where the world-state bit for X first lights up.
+    Returns (first_index, grounding id) pairs, by id; ``names`` maps each
+    named grounding id to its name. The stop tile for "walk until X" is exactly where X
+    first enters the radius-1 neighborhood, which is also where the
+    world-state bit for X first lights up.
     """
     street = grid.street(pose.street_id)
     hi = min(hi, _runway(grid, pose))
-    scan = [street.tiles[pose.index + pose.travel_dir * k] for k in range(0, hi + 1)]
     first: dict[int, int] = {}
-    for name, gid, _etype in grid.named_groundings():
-        near = grid.tiles_within(gid, 1)
-        for k, t in enumerate(scan):
-            if t in near:
-                first[gid] = k
-                break
-    return [(k, gid) for gid, k in sorted(first.items()) if lo <= k <= hi]
+    for k in range(hi + 1):
+        for gid in grid.groundings_near(street.tiles[pose.index + pose.travel_dir * k], 1):
+            if gid in names:
+                first.setdefault(gid, k)
+    return [(k, gid) for gid, k in sorted(first.items()) if lo <= k]
 
 
 def _feasible_turns(grid: GridMap, pose: Pose, min_runway: int) -> list[Action]:
@@ -282,6 +280,7 @@ class _SentencePlanner:
         self.grid = grid
         self.rng = rng
         self.names = {gid: name for name, gid, _ in grid.named_groundings()}
+        self.signals = {e.id for e in grid.entities if e.entity_type == "traffic_signal"}
 
     def _title(self, gid: int) -> str:
         return self.names[gid].title()
@@ -291,7 +290,7 @@ class _SentencePlanner:
         rate = self.spec.distractor_rate
         out = ""
         if stop_k >= 2 and self.rng.random() < rate:
-            mid = _scan_targets(self.grid, pose, 1, stop_k - 1)
+            mid = _scan_targets(self.grid, self.names, pose, 1, stop_k - 1)
             if mid:
                 _, gid = mid[self.rng.integers(0, len(mid))]
                 side = ("left", "right")[self.rng.integers(0, 2)]
@@ -313,7 +312,7 @@ class _SentencePlanner:
         ]
 
     def walk_until(self, pose: Pose) -> tuple[str, list[Action]] | None:
-        targets = _scan_targets(self.grid, pose, self.spec.walk_min, self.spec.walk_max)
+        targets = _scan_targets(self.grid, self.names, pose, self.spec.walk_min, self.spec.walk_max)
         if not targets:
             return None
         k, gid = targets[self.rng.integers(0, len(targets))]
@@ -329,8 +328,7 @@ class _SentencePlanner:
         stop = None
         for k in range(0, hi + 1):
             tile = street.tiles[pose.index + pose.travel_dir * k]
-            if any(e.entity_type == "traffic_signal"
-                   for e in self.grid.entities_at(tile, 1)):
+            if not self.signals.isdisjoint(self.grid.groundings_near(tile, 1)):
                 stop = k
                 break
         if stop is None or not self.spec.walk_min <= stop <= self.spec.walk_max:
@@ -353,7 +351,7 @@ class _SentencePlanner:
         turns = self._ranked_turns(pose)
         for kind in turns:
             after = step(self.grid, pose, kind)
-            targets = _scan_targets(self.grid, after, self.spec.walk_min, self.spec.walk_max)
+            targets = _scan_targets(self.grid, self.names, after, self.spec.walk_min, self.spec.walk_max)
             if not targets:
                 continue
             k, gid = targets[self.rng.integers(0, len(targets))]
@@ -388,13 +386,8 @@ class _SentencePlanner:
         return text, [kind] + [Action.WALK] * n + [Action.END]
 
     def verify_end(self, pose: Pose) -> tuple[str, list[Action]] | None:
-        here = pose_tile(self.grid, pose)
-        nearby = [
-            gid
-            for _, gid, _ in self.grid.named_groundings()
-            if self.grid.grounding_type(gid) != "street"
-            and here in self.grid.tiles_within(gid, 1)
-        ]
+        nearby = [gid for gid in self.grid.groundings_near(pose_tile(self.grid, pose), 1)
+                  if gid in self.names and self.grid.grounding_type(gid) != "street"]
         if not nearby:
             return None
         gid = nearby[self.rng.integers(0, len(nearby))]

@@ -140,12 +140,9 @@ class GridMap:
         # (pose, action) -> pose after the action, or None where it cannot
         # execute; filled and read by ``executor.successor``.
         self.pose_table: dict[tuple[Pose, Action], Pose | None] = {}
-        self._types_near: dict[tuple[Pose, int, int], tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        self._types_at: dict[TileCoord, tuple[str, ...]] = {
-            t: tuple(sorted({self._entities_by_id[e].entity_type for e in entry[0]}))
-            for t, entry in self.tile_index.items()
-            if entry[0]
-        }
+        self._types_near: dict[tuple[Pose, int, int], tuple[tuple, tuple, tuple, tuple]] = {}
+        # radius -> tile -> the grounding ids near it; see ``groundings_near``.
+        self._near: dict[int, dict[TileCoord, tuple[int, ...]]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -185,19 +182,13 @@ class GridMap:
                         f"street {s.id}: tiles {a} and {b} are not 8-neighbors"
                     )
 
-    def _build_tile_index(self) -> dict[TileCoord, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-        ents: dict[TileCoord, list[int]] = {}
-        strs: dict[TileCoord, list[tuple[int, int]]] = {}
-        for e in self.entities:
-            for t in e.footprint:
-                ents.setdefault(t, []).append(e.id)
+    def _build_tile_index(self) -> dict[TileCoord, tuple[tuple[int, int], ...]]:
+        """Tile -> every (street id, index) on it, sorted; entities are in ``groundings_near``."""
+        index: dict[TileCoord, list[tuple[int, int]]] = {}
         for s in self.streets:
             for i, t in enumerate(s.tiles):
-                strs.setdefault(t, []).append((s.id, i))
-        index: dict[TileCoord, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
-        for t in set(ents) | set(strs):
-            index[t] = (tuple(sorted(ents.get(t, ()))), tuple(sorted(strs.get(t, ()))))
-        return index
+                index.setdefault(t, []).append((s.id, i))
+        return {t: tuple(sorted(pairs)) for t, pairs in index.items()}
 
     # -- lookups -----------------------------------------------------------
 
@@ -233,8 +224,7 @@ class GridMap:
         return out
 
     def is_walkable(self, t: TileCoord) -> bool:
-        entry = self.tile_index.get(t)
-        return bool(entry and entry[1])
+        return t in self.tile_index
 
     def tiles_within(self, gid: int, radius: int) -> frozenset[TileCoord]:
         """Grounding footprint inflated by a Chebyshev radius (cached)."""
@@ -249,26 +239,42 @@ class GridMap:
             cached = self._inflated[key] = frozenset(out)
         return cached
 
-    def types_near(self, pose: "Pose", horizon: int, radius: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Entity types near the pose (cached): (here, ahead).
+    def groundings_near(self, tile: TileCoord, radius: int) -> tuple[int, ...]:
+        """Ids of the groundings whose ``tiles_within(gid, radius)`` holds ``tile`` (cached).
 
-        Here: types whose footprint meets the Chebyshev ball of ``radius``
-        around the pose's tile. Ahead: types covering a tile of
-        ``path_ahead(pose, horizon)``. A cache miss checks the pose and raises
-        ``InvalidPose`` for one that names no tile; a hit costs one lookup.
+        Entities, then streets, in map order as ``named_groundings`` lists
+        them. One table per radius, built the first time that radius is asked
+        for; it holds the grid's tiles only, so a tile off the grid gets ``()``.
+        """
+        table = self._near.get(radius)
+        if table is None:
+            near: dict[TileCoord, list[int]] = {}
+            for gid in [*self._entities_by_id, *self._streets_by_id]:
+                for t in self.tiles_within(gid, radius):
+                    if self.in_grid(t):
+                        near.setdefault(t, []).append(gid)
+            table = self._near[radius] = {t: tuple(ids) for t, ids in near.items()}
+        return table.get(tile, ())
+
+    def types_near(self, pose: "Pose", horizon: int, radius: int) -> tuple[tuple, tuple, tuple, tuple]:
+        """What is near the pose (cached): here types, ahead types, here ids, ahead ids.
+
+        Here: what meets the Chebyshev ball of ``radius`` around the pose's
+        tile. Ahead: what covers a tile of ``path_ahead(pose, horizon)``.
+        Types are sorted entity types; ids are grounding ids (entities and
+        streets) as ``groundings_near`` orders them. A cache miss checks the
+        pose and raises ``InvalidPose`` for one that names no tile; a hit
+        costs one lookup.
         """
         key = (pose, horizon, radius)
         cached = self._types_near.get(key)
         if cached is None:
-            tile = self._street_at(pose).tiles[pose.index]
-            here: set[str] = set()
-            for dc in range(-radius, radius + 1):
-                for dr in range(-radius, radius + 1):
-                    here.update(self._types_at.get(TileCoord(tile.col + dc, tile.row + dr), ()))
-            ahead: set[str] = set()
-            for t in self.path_ahead(pose, horizon):
-                ahead.update(self._types_at.get(t, ()))
-            cached = self._types_near[key] = (tuple(sorted(here)), tuple(sorted(ahead)))
+            ents = self._entities_by_id
+            here = self.groundings_near(self._street_at(pose).tiles[pose.index], radius)
+            ahead = tuple(dict.fromkeys(
+                g for t in self.path_ahead(pose, horizon) for g in self.groundings_near(t, 0)))
+            types = [tuple(sorted({ents[g].entity_type for g in ids if g in ents})) for ids in (here, ahead)]
+            cached = self._types_near[key] = (*types, here, ahead)
         return cached
 
     # -- spatial queries ----------------------------------------------------
@@ -279,13 +285,8 @@ class GridMap:
             raise MapValidationError(f"coordinate {c} outside grid")
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        found: set[int] = set()
-        for col in range(max(0, c.col - radius), min(self.width, c.col + radius + 1)):
-            for row in range(max(0, c.row - radius), min(self.height, c.row + radius + 1)):
-                entry = self.tile_index.get(TileCoord(col, row))
-                if entry:
-                    found.update(entry[0])
-        return [self._entities_by_id[i] for i in sorted(found)]
+        ents = self._entities_by_id
+        return [ents[g] for g in sorted(g for g in self.groundings_near(c, radius) if g in ents)]
 
     def streets_through(self, c: TileCoord) -> list[tuple[Street, int]]:
         """Every (street, index) whose tile list contains ``c``.
@@ -294,10 +295,7 @@ class GridMap:
         """
         if not self.in_grid(c):
             raise MapValidationError(f"coordinate {c} outside grid")
-        entry = self.tile_index.get(c)
-        if not entry:
-            return []
-        return [(self._streets_by_id[sid], i) for sid, i in entry[1]]
+        return [(self._streets_by_id[sid], i) for sid, i in self.tile_index.get(c, ())]
 
     def _street_at(self, pose: "Pose") -> Street:
         """The pose's street; raises ``InvalidPose`` for a pose that names no tile."""

@@ -8,10 +8,11 @@ fall back to their type bit. A vector is a function of the pose and the
 sentence's bindings alone, never updated incrementally from the previous
 one, so it can be cached in two parts:
 
-- the type bits depend only on the pose; the map caches them
-  (``GridMap.types_near``) for every caller;
-- the binding slots depend on the pose and the grounding ids; the beam
-  computes each pose's vector once for the one sentence it decodes.
+- the type bits, and the ids of the groundings near the pose, depend only
+  on the pose; the map caches both (``GridMap.types_near``, read from its
+  proximity index ``GridMap.groundings_near``) for every caller;
+- a binding slot is set where the bound id is among those near ids; the
+  beam computes each pose's vector once for the one sentence it decodes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import parse_variable
-from .executor import Pose, pose_tile
+from .executor import Pose
 from .worldmap import ENTITY_TYPES, GridMap
 
 DEFAULT_SLOTS_PER_TYPE = 4
@@ -67,25 +68,22 @@ def compute(
     of the path ahead (ahead). Variable slots:
     the bound grounding (entity or street) intersects the same scope. A
     pose that names no tile raises ``InvalidPose`` (from
-    ``GridMap.types_near`` on a cache miss, and ``GridMap.path_ahead``).
+    ``GridMap.types_near`` on a cache miss).
     """
     world = np.zeros(2 * layout.width, dtype=dtype)
     here, ahead = world[: layout.width], world[layout.width :]
-    here_types, ahead_types = grid.types_near(pose, horizon, radius)
+    here_types, ahead_types, here_ids, ahead_ids = grid.types_near(pose, horizon, radius)
     for etype in here_types:
         here[layout.type_index(etype)] = 1.0
     for etype in ahead_types:
         ahead[layout.type_index(etype)] = 1.0
-    tile = pose_tile(grid, pose)
-    ahead_tiles = grid.path_ahead(pose, horizon)
     for var, gid in bindings:
         slot = layout.slot_index(var)
         if slot is None:
             continue
-        if tile in grid.tiles_within(gid, radius):
+        grid.grounding(gid)  # an id the map does not have raises KeyError
+        if gid in here_ids:
             here[slot] = 1.0
-        if ahead_tiles:
-            footprint = grid.tiles_within(gid, 0)
-            if any(t in footprint for t in ahead_tiles):
-                ahead[slot] = 1.0
+        if gid in ahead_ids:
+            ahead[slot] = 1.0
     return world

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urbanav.abstraction import is_variable_token
 from urbanav.corpus import (
     CorpusFormatError,
     format_corpus,
@@ -104,6 +105,33 @@ def test_parse_rejects_negative_pose_index():
         parse_corpus(_one_instruction("(1,-1,+1)", "(1,0,+1)", "END"), source="corpus.txt")
     with pytest.raises(CorpusFormatError, match=r"^corpus\.txt:8: bad pose '\(1,-3,-1\)'"):
         parse_corpus(_one_instruction("(1,0,+1)", "(1,-3,-1)", "END"), source="corpus.txt")
+
+
+def test_parse_rejects_a_variable_bound_twice():
+    text = _one_instruction("(1,0,+1)", "(1,0,+1)", "END").replace(
+        "BINDINGS -", "BINDINGS <SHOP_1>=3;<SHOP_1>=4")
+    expected = r"^corpus\.txt:7: bad binding '<SHOP_1>=4': <SHOP_1> is bound twice$"
+    with pytest.raises(CorpusFormatError, match=expected):
+        parse_corpus(text, source="corpus.txt")
+
+
+def test_parse_rejects_an_unbound_abstract_variable():
+    text = _one_instruction("(1,0,+1)", "(1,0,+1)", "END")
+    bound = text.replace("ABSTRACT hi", "ABSTRACT to <SHOP_1>").replace("BINDINGS -", "BINDINGS <SHOP_1>=3")
+    assert parse_corpus(bound).paragraphs[0].instructions[0].bindings == (("<SHOP_1>", 3),)
+    for abstract, bindings in (("to <SHOP_1>", "-"), ("<SHOP_1> and <BANK_1>", "<SHOP_1>=3")):
+        bad = text.replace("ABSTRACT hi", f"ABSTRACT {abstract}").replace("BINDINGS -", f"BINDINGS {bindings}")
+        expected = r"^corpus\.txt:6: ABSTRACT variable <(SHOP|BANK)_1> is bound by no BINDINGS entry$"
+        with pytest.raises(CorpusFormatError, match=expected):
+            parse_corpus(bad, source="corpus.txt")
+
+
+def test_synth_binds_every_abstract_variable(synth_default):
+    _, corpus = synth_default
+    for _, instr in corpus.instructions():
+        bound = {var for var, _ in instr.bindings}
+        assert len(bound) == len(instr.bindings)
+        assert {t for t in instr.abstract_tokens if is_variable_token(t)} == bound
 
 
 def test_parse_rejects_unknown_action_token_with_line():

@@ -293,11 +293,14 @@ def test_self_crossing_street_turns_onto_its_other_pass():
 def test_pose_table_stays_lazy():
     for i in range(3):
         grid = generate_map(SynthSpec.default(), i)
-        assert grid.pose_table == {} and grid._types_near == {}
+        assert grid.pose_table == {} and grid._types_near == {} and grid._near == {}
     grid = self_crossing_map()
-    assert grid.pose_table == {} and grid._types_near == {}
+    assert grid.pose_table == {} and grid._types_near == {} and grid._near == {}
     step(grid, Pose(1, 0, 1), Action.WALK)
     assert list(grid.pose_table) == [(Pose(1, 0, 1), Action.WALK)]
+    assert grid._near == {}
+    grid.types_near(Pose(1, 0, 1), 3, 2)  # one proximity table per radius asked for
+    assert sorted(grid._near) == [0, 2]
 
 
 def test_out_of_range_pose_raises_invalid_pose():

@@ -1,9 +1,12 @@
 import pytest
 
 from urbanav.corpus import format_corpus
-from urbanav.executor import Action
+from urbanav.executor import Action, Pose, pose_tile
 from urbanav.synth import (
     SynthSpec,
+    _runway,
+    _scan_targets,
+    _SentencePlanner,
     corpus_stats,
     generate,
     generate_map,
@@ -88,7 +91,7 @@ def test_traffic_signals_sit_on_crossings():
     assert signals
     for sig in signals:
         (tile,) = sig.footprint
-        street_ids = {sid for sid, _ in grid.tile_index[tile][1]}
+        street_ids = {sid for sid, _ in grid.tile_index[tile]}
         assert len(street_ids) >= 2  # a crossing
 
 
@@ -164,3 +167,79 @@ def test_empty_corpus_stats():
     stats = corpus_stats(Corpus(()), {})
     assert stats["instructions"] == 0
     assert stats["avg_tokens_per_instruction"] == 0.0
+
+
+# -- the proximity scans, against the loops they replaced ------------------------
+
+
+def reference_scan_targets(grid, pose, lo, hi):
+    """``_scan_targets`` as a scan of every named grounding's radius-1 tiles."""
+    street = grid.street(pose.street_id)
+    hi = min(hi, _runway(grid, pose))
+    scan = [street.tiles[pose.index + pose.travel_dir * k] for k in range(0, hi + 1)]
+    first = {}
+    for name, gid, _etype in grid.named_groundings():
+        near = grid.tiles_within(gid, 1)
+        for k, t in enumerate(scan):
+            if t in near:
+                first[gid] = k
+                break
+    return [(k, gid) for gid, k in sorted(first.items()) if lo <= k <= hi]
+
+
+def reference_verify_end_targets(grid, pose):
+    """The named entities ``verify_end`` picks from, as a scan of every named grounding."""
+    here = pose_tile(grid, pose)
+    return [
+        gid
+        for _, gid, _ in grid.named_groundings()
+        if grid.grounding_type(gid) != "street"
+        and here in grid.tiles_within(gid, 1)
+    ]
+
+
+class _PickRng:
+    """Stands in for the planner's generator: ``integers`` records its bound and returns ``pick``."""
+
+    def __init__(self, pick):
+        self.pick, self.highs = pick, []
+
+    def integers(self, lo, hi):
+        self.highs.append(hi)
+        return min(self.pick, hi - 1)
+
+
+def _every_pose(grid):
+    return [Pose(s.id, i, d) for s in grid.streets for i in range(len(s.tiles)) for d in (1, -1)]
+
+
+def test_scan_targets_match_the_reference_on_every_pose(synth_small):
+    maps, _ = synth_small
+    for grid in maps.values():
+        names = {gid: name for name, gid, _ in grid.named_groundings()}
+        found = 0
+        for pose in _every_pose(grid):
+            for lo, hi in ((0, 30), (1, 4), (2, 10), (3, 12)):
+                got = _scan_targets(grid, names, pose, lo, hi)
+                assert got == reference_scan_targets(grid, pose, lo, hi)
+                found += len(got)
+        assert found > 0
+
+
+def test_verify_end_picks_from_the_reference_targets_on_every_pose(synth_small):
+    maps, _ = synth_small
+    spec = SynthSpec()
+    for grid in maps.values():
+        spoken = 0
+        for pose in _every_pose(grid):
+            expected = reference_verify_end_targets(grid, pose)
+            if not expected:
+                assert _SentencePlanner(spec, grid, _PickRng(0)).verify_end(pose) is None
+                continue
+            for pick, gid in enumerate(expected):
+                planner = _SentencePlanner(spec, grid, _PickRng(pick))
+                text, actions = planner.verify_end(pose)
+                assert planner.rng.highs[0] == len(expected)
+                assert planner._title(gid) in text and actions == [Action.END]
+                spoken += 1
+        assert spoken > 0

@@ -159,6 +159,24 @@ def test_walkable_tiles_within_one_match_bruteforce(synth_small):
             assert got == expected
 
 
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_groundings_near_matches_bruteforce(synth_small, radius):
+    """Entities then streets, in map order, whose footprint meets the ball; nothing off the grid."""
+    maps, _ = synth_small
+    for grid in maps.values():
+        footprints = [(e.id, e.footprint) for e in grid.entities]
+        footprints += [(s.id, s.tiles) for s in grid.streets]
+        for col in range(grid.width):
+            for row in range(grid.height):
+                c = TileCoord(col, row)
+                expected = tuple(
+                    gid for gid, tiles in footprints if any(chebyshev(c, f) <= radius for f in tiles)
+                )
+                assert grid.groundings_near(c, radius) == expected
+        assert grid.groundings_near(TileCoord(-1, 0), radius) == ()
+        assert grid.groundings_near(TileCoord(grid.width, 3), radius) == ()
+
+
 def test_entities_at_out_of_grid_errors(plus):
     with pytest.raises(MapValidationError):
         plus.entities_at(TileCoord(99, 0), 1)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from urbanav.executor import Pose
 from urbanav.worldmap import Entity, GridMap, Street, TileCoord, chebyshev
@@ -141,3 +142,9 @@ def test_width_constant_across_poses(plus):
     for pose in (Pose(1, 0, 1), Pose(2, 6, -1), Pose(1, 3, 1)):
         widths.add(compute(plus, pose, (), LAYOUT, horizon=10, radius=1).shape)
     assert widths == {(2 * LAYOUT.width,)}
+
+
+def test_binding_an_id_the_map_lacks_raises():
+    grid = GridMap("m", 5, 5, streets=[Street(id=1, tiles=tuple(TileCoord(c, 2) for c in range(5)))])
+    with pytest.raises(KeyError, match="no entity or street with id 9"):
+        compute(grid, Pose(1, 0, 1), (("<SHOP_1>", 9),), LAYOUT, horizon=2, radius=1)
