@@ -199,9 +199,6 @@ class Vocabulary:
     def encode(self, tokens) -> list[int]:
         return [self.index.get(t, self.unk_id) for t in tokens]
 
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[i] for i in ids]
-
 
 def vocabulary(corpora_tokens, min_count: int = 1) -> Vocabulary:
     """Builds the closed inventory from an iterable of token sequences.

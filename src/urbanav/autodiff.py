@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# How much ``corrupted`` mis-scales the gradient of the rule a ``backward`` pass corrupts
+CORRUPT_SCALE = 2.0
+
 # (rule, scale) of the running ``backward`` pass; see ``corrupted``
 _CORRUPT: tuple[str | None, float] = (None, 1.0)
 
@@ -84,15 +87,15 @@ def _lstm_step_grads(acts, c_prev, tanh_c, dh, dc):
 # -- backward pass ------------------------------------------------------------------
 
 
-def backward(loss: Tensor, corrupt_rule: str | None = None, corrupt_scale: float = 1.5) -> None:
+def backward(loss: Tensor, corrupt_rule: str | None = None) -> None:
     """Adds d(loss)/d(weight) into every weight's gradient view through ``loss.backward_fn``.
 
     ``corrupt_rule`` deliberately mis-scales the gradient of that inner rule
-    (see ``corrupted``) for the length of the pass (negative control for
-    the finite-difference check).
+    by ``CORRUPT_SCALE`` (see ``corrupted``) for the length of the pass
+    (negative control for the finite-difference check).
     """
     global _CORRUPT
-    _CORRUPT = (corrupt_rule, corrupt_scale)
+    _CORRUPT = (corrupt_rule, CORRUPT_SCALE)
     try:
         loss.backward_fn(np.ones_like(loss.data))
     finally:

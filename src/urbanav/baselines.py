@@ -69,13 +69,7 @@ def _street_graph_distances(grid: GridMap, targets: set[TileCoord]) -> dict[Tile
     return dist
 
 
-def jump(
-    grid: GridMap,
-    bindings,
-    p0: Pose,
-    rng: np.random.Generator,
-    step_budget: int = JUMP_STEP_BUDGET,
-) -> tuple[Action, ...]:
+def jump(grid: GridMap, bindings, p0: Pose, rng: np.random.Generator) -> tuple[Action, ...]:
     """Greedy street-graph descent toward each bound entity in mention order."""
     actions: list[Action] = []
     pose = p0
@@ -85,7 +79,7 @@ def jump(
         if not targets:
             continue
         dist = _street_graph_distances(grid, targets)
-        for _ in range(step_budget):
+        for _ in range(JUMP_STEP_BUDGET):
             here = pose_tile(grid, pose)
             if here in targets:
                 break

@@ -2,12 +2,11 @@
 
 One assignment per line, ``#`` starts a comment. A value stays text until
 ``apply_overrides`` parses it with the type of the dataclass field its key
-sets: int, float or str. An unknown key, a key a command-line flag owns, a
-field of another type (a flat file cannot express a dict or a tuple), or a
-value that does not parse raises ``ConfigError`` naming the key, as does
-a key set twice. A config dataclass checks each field's range when it is
-made (``check_field``), and a value out of range is reported under its key
-too.
+sets: int, float or str, the only field types a config dataclass has. An
+unknown key, a key a command-line flag owns, or a value that does not parse
+raises ``ConfigError`` naming the key, as does a key set twice. A config
+dataclass checks each field's range when it is made (``check_field``), and
+a value out of range is reported under its key too.
 """
 
 from __future__ import annotations
@@ -65,23 +64,21 @@ def apply_overrides(defaults, overrides: dict[str, str], flag_keys: dict[str, st
     """A copy of the dataclass ``defaults`` with each key set from its raw text.
 
     ``flag_keys`` maps the keys a command-line flag owns to that flag; they
-    are rejected, as are unknown keys and fields that are not int, float or str.
+    are rejected, as are unknown keys, each under its key in file order.
+    Every field is int, float or str.
     A ``FieldError`` from the copy is raised again as a ``ConfigError``
     naming the first of its keys that ``overrides`` sets.
     """
     known = {f.name for f in fields(defaults)}
-    bad = [k for k in overrides if k not in known]
-    if bad:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(bad))}")
     types = get_type_hints(type(defaults))
     values = {}
     for key, raw in overrides.items():
         where = f"config key {key!r}"
+        if key not in known:
+            raise ConfigError(f"unknown {where}")
         if key in flag_keys:
             raise ConfigError(f"{where} is set by {flag_keys[key]}, not in a config file")
         parse = types[key]
-        if parse not in (int, float, str):
-            raise ConfigError(f"{where} cannot be set in a flat config file")
         try:
             values[key] = parse(raw)
         except ValueError:

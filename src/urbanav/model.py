@@ -7,7 +7,7 @@ the current pose into both the attention scores and the decoder input.
 Every gradient is hand-written NumPy, checked against finite differences.
 ``sentence_loss`` returns the loss as one ``autodiff.Tensor`` whose
 backward runs the teacher-forced decoder's backpropagation through time
-(``_decoder_loss``) and then the encoder's (``_encoder``, both directions
+(``_decoder_loss``) and then the encoder's (``encode``, both directions
 in one loop), so a training step is two explicit calls: the loss, then
 ``autodiff.backward``. Training and the beam share one NumPy decoder step
 (``_step_rows``): the beam runs it on all its hypotheses at once, and the
@@ -115,7 +115,7 @@ class ModelParameters:
     (the 17 or 19 weights a checkpoint holds). The ``enc_fwd_*`` and
     ``enc_bwd_*`` halves of each encoder weight kind sit side by side, so
     ``enc_Wx``, ``enc_Wh`` and ``enc_b`` are names too: ``(2, ...)`` views
-    of both halves, fwd then bwd, that ``_encoder`` reads and writes. The
+    of both halves, fwd then bwd, that ``encode`` reads and writes. The
     world weights go last. A snapshot, a restore and ``training.Adam``'s
     update each act on the flat arrays. The gradients start at zero; the
     backward pass adds into them and ``Adam.step`` zeroes what it has read.
@@ -236,23 +236,15 @@ class NavigationModel:
 
         Returns (states (N x enc), attention projection ``states @ att_Wh``,
         backward). ``backward(dstates)`` is the encoder's backpropagation
-        through time (see ``_encoder``); the projection's gradient is the
-        decoder's, which writes ``att_Wh``'s.
-        """
-        if not token_ids:
-            raise ValueError("cannot encode an empty sentence")
-        mask = self._dropout_mask((len(token_ids), self.config.embed_dim), dropout_rng)
-        states, backward = self._encoder(token_ids, mask)
-        return states, states @ self.params.w["att_Wh"], backward
+        through time; the projection's gradient is the decoder's, which
+        writes ``att_Wh``'s.
 
-    def _encoder(self, token_ids, mask):
-        """The embedding lookup, input dropout and both LSTM directions: (states, backward).
-
-        Both directions run in one loop over the stacked ``(2, ...)`` weights
+        The embedding lookup and input dropout feed both LSTM directions,
+        which run in one loop over the stacked ``(2, ...)`` weights
         ``enc_Wx``, ``enc_Wh`` and ``enc_b`` (see ``ModelParameters``), read
         from ``params.w`` and with their gradients added into ``params.g``
         under the same names. Direction 0 reads the sentence forwards,
-        direction 1 backwards, and row t of the result holds both states at
+        direction 1 backwards, and row t of the states holds both states at
         token t. Every stacked product is one ``np.matmul`` per
         direction, bit for bit the product one direction alone takes. The
         backward pass runs both directions in one loop too, takes each
@@ -260,6 +252,9 @@ class NavigationModel:
         with one ``np.add.at`` into ``tok_emb``. It passes its incoming
         gradient through ``corrupted("encoder", ...)``.
         """
+        if not token_ids:
+            raise ValueError("cannot encode an empty sentence")
+        mask = self._dropout_mask((len(token_ids), self.config.embed_dim), dropout_rng)
         w, dw = self.params.w, self.params.g
         Wx, Wh, b = w["enc_Wx"], w["enc_Wh"], w["enc_b"]
         x = w["tok_emb"][token_ids]
@@ -294,7 +289,8 @@ class NavigationModel:
             dx = dx[0] + dx[1][::-1]  # both directions' gradients of each token's input
             np.add.at(dw["tok_emb"], token_ids, dx if mask is None else dx * mask)
 
-        return np.concatenate([hs[0, 1:], hs[1, 1:][::-1]], axis=-1), backward
+        states = np.concatenate([hs[0, 1:], hs[1, 1:][::-1]], axis=-1)
+        return states, states @ w["att_Wh"], backward
 
     def _dropout_mask(self, shape, rng: np.random.Generator | None) -> np.ndarray | None:
         """An inverted-dropout mask of ``shape`` from ``rng``; None when nothing is dropped."""
@@ -323,17 +319,6 @@ class NavigationModel:
         context = np.matmul(weights[:, None, :], states)[:, 0, :]
         return th, weights, context
 
-    def _cell(self, h, c, context, emb_z, world_z):
-        """The decoder LSTM for every row: (h2, c2, gate activations, tanh(c2))."""
-        w = self.params.w
-        z = emb_z + np.matmul(w["dec_W_ctx"], context[:, :, None])[..., 0]
-        if world_z is not None:
-            z += world_z
-        z += np.matmul(w["dec_Wh"], h[:, :, None])[..., 0]
-        z += w["dec_b"]
-        acts, c2, tanh_c, h2 = ad._lstm_step(z, c)
-        return h2, c2, acts, tanh_c
-
     def _step_rows(self, states, proj, h, c, emb_z, world_z, world_u, out_mask=None) -> _Step:
         """One decoder step for every row of ``h`` and ``c``, in NumPy.
 
@@ -348,7 +333,13 @@ class NavigationModel:
         """
         w = self.params.w
         th, weights, context = self.attend(states, proj, h, world_u)
-        h2, c2, acts, tanh_c = self._cell(h, c, context, emb_z, world_z)
+        # the decoder LSTM
+        z = emb_z + np.matmul(w["dec_W_ctx"], context[:, :, None])[..., 0]
+        if world_z is not None:
+            z += world_z
+        z += np.matmul(w["dec_Wh"], h[:, :, None])[..., 0]
+        z += w["dec_b"]
+        acts, c2, tanh_c, h2 = ad._lstm_step(z, c)
         out_in = h2 if out_mask is None else h2 * out_mask
         logits = np.matmul(w["out_W"], out_in[:, :, None])[..., 0] + w["out_b"]
         z = logits - logits.max(axis=-1, keepdims=True)
@@ -477,6 +468,16 @@ class NavigationModel:
 
     # -- beam search -------------------------------------------------------------
 
+    def world_vector(self, grid: GridMap, pose: Pose, bindings) -> np.ndarray | None:
+        """The here||ahead world vector at ``pose`` in the model dtype; None for CGA/CGAE."""
+        if not self.config.uses_world:
+            return None
+        return compute_world(
+            grid, pose, bindings, self.layout,
+            horizon=self.config.horizon, radius=self.config.radius,
+            dtype=self.config.np_dtype(),
+        )
+
     def beam_search(
         self,
         tokens,
@@ -492,32 +493,17 @@ class NavigationModel:
         world state computed at its own pose). The greedy rollout is always
         scored as a fallback, which keeps the returned normalized score at
         least as good as greedy's.
+
+        Each time step runs one batched ``_step_rows`` over the beam and the
+        pinned greedy rollout. While the greedy prefix is still in the beam
+        it reads that hypothesis's row; once it falls out it takes one extra
+        row of its own. At width 1 the beam is the greedy rollout and there
+        is no extra row. ``max_live`` counts beam hypotheses only.
         """
         width = self.config.beam_width if beam_width is None else beam_width
         if width < 1:
             raise ValueError("beam_width must be >= 1")
         states, proj, _ = self.encode(self.vocab.encode(tokens))
-        return self._beam(states, proj, p0, grid, bindings, width)
-
-    def world_vector(self, grid: GridMap, pose: Pose, bindings) -> np.ndarray | None:
-        """The here||ahead world vector at ``pose`` in the model dtype; None for CGA/CGAE."""
-        if not self.config.uses_world:
-            return None
-        return compute_world(
-            grid, pose, bindings, self.layout,
-            horizon=self.config.horizon, radius=self.config.radius,
-            dtype=self.config.np_dtype(),
-        )
-
-    def _beam(self, states, proj, p0, grid, bindings, width) -> BeamResult:
-        """The beam and the pinned greedy rollout, one batched ``_step_rows`` per time step.
-
-        The greedy rollout is the fallback of ``beam_search``. While its
-        prefix is still in the beam it reads that hypothesis's row; once it
-        falls out it takes one extra row of its own. At width 1 the beam is
-        the greedy rollout and there is no extra row. ``max_live`` counts
-        beam hypotheses only.
-        """
         cfg = self.config
         w = self.params.w
         alpha = cfg.length_norm_alpha
@@ -607,9 +593,6 @@ class NavigationModel:
         if greedy_done and (greedy_done[0][0] > result.score or result.all_pruned):
             result = BeamResult(greedy_done[0][1], greedy_done[0][0], max_live=max_live)
         return result
-
-    def predict(self, tokens, p0: Pose, grid: GridMap, bindings=()) -> tuple[Action, ...]:
-        return self.beam_search(tokens, p0, grid, bindings).actions
 
     # -- persistence -----------------------------------------------------------------
 

@@ -13,7 +13,7 @@ Generation is a pure function of (spec, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,16 +76,6 @@ NUM_WORDS = (
     "eight", "nine", "ten", "eleven", "twelve", "thirteen", "fourteen",
 )
 
-TEMPLATE_KINDS = (
-    "walk_until",
-    "walk_until_signal",
-    "turn_then_walk_until",
-    "walk_count",
-    "turn_then_walk_count",
-    "verify_end",
-)
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """The shape of a synthetic world; its counts are checked when it is made."""
@@ -94,16 +84,12 @@ class SynthSpec:
     grid_size: int = 24
     rows: int = 5
     cols: int = 5
-    entity_counts: dict = field(default_factory=lambda: dict(DEFAULT_ENTITY_COUNTS))
     paragraphs_per_map: int = 56
     min_sentences: int = 2
     max_sentences: int = 5
     walk_min: int = 2
     walk_max: int = 10
     distractor_rate: float = 0.10
-    templates: tuple[str, ...] = TEMPLATE_KINDS
-    train_names: tuple[str, ...] = TRAIN_NAME_POOL
-    unseen_names: tuple[str, ...] = UNSEEN_NAME_POOL
     seed: int = 0
 
     @classmethod
@@ -133,27 +119,27 @@ class SynthSpec:
                     "walk_min")
         check_field(self, "distractor_rate", 0 <= self.distractor_rate <= 1, "in [0, 1]")
         n_named = self.rows + self.cols + sum(
-            c for t, c in self.entity_counts.items() if t != "traffic_signal"
+            c for t, c in DEFAULT_ENTITY_COUNTS.items() if t != "traffic_signal"
         )
-        pool_per_map = len(self.unseen_names)
+        pool_per_map = len(UNSEEN_NAME_POOL)
         if self.n_maps > 1:
-            pool_per_map = min(pool_per_map, len(self.train_names) // (self.n_maps - 1))
+            pool_per_map = min(pool_per_map, len(TRAIN_NAME_POOL) // (self.n_maps - 1))
         if n_named > pool_per_map:
             raise FieldError(
                 f"name pools too small: need {n_named} names per map, have {pool_per_map}",
                 ("n_maps", "rows", "cols"),
             )
-        n_entities = sum(self.entity_counts.values())
+        n_entities = sum(DEFAULT_ENTITY_COUNTS.values())
         check_field(self, "grid_size", n_entities * 3 <= self.grid_size * self.grid_size,
                     f"large enough to place {n_entities} entities")
 
 
 def _map_name_pool(spec: SynthSpec, map_index: int) -> list[str]:
     if map_index == spec.n_maps - 1:
-        return list(spec.unseen_names)
+        return list(UNSEEN_NAME_POOL)
     if spec.n_maps == 1:
-        return list(spec.train_names)
-    return list(spec.train_names[map_index :: spec.n_maps - 1])
+        return list(TRAIN_NAME_POOL)
+    return list(TRAIN_NAME_POOL[map_index :: spec.n_maps - 1])
 
 
 def generate_map(spec: SynthSpec, map_index: int) -> GridMap:
@@ -202,7 +188,7 @@ def generate_map(spec: SynthSpec, map_index: int) -> GridMap:
                 return t
         return None
 
-    for etype, count in sorted(spec.entity_counts.items()):
+    for etype, count in sorted(DEFAULT_ENTITY_COUNTS.items()):
         if etype == "traffic_signal":
             k = min(count, len(crossings))
             picks = rng.choice(len(crossings), size=k, replace=False)
@@ -237,20 +223,21 @@ def _runway(grid: GridMap, pose: Pose) -> int:
     return n - 1 - pose.index if pose.travel_dir == 1 else pose.index
 
 
-def _scan_targets(grid: GridMap, names: dict[int, str], pose: Pose, lo: int, hi: int):
-    """Named groundings whose first adjacency along the walk is in [lo, hi].
+def _scan_targets(grid: GridMap, wanted, pose: Pose, lo: int, hi: int):
+    """Groundings of ``wanted`` whose first adjacency along the walk is in [lo, hi].
 
-    Returns (first_index, grounding id) pairs, by id; ``names`` maps each
-    named grounding id to its name. The stop tile for "walk until X" is exactly where X
-    first enters the radius-1 neighborhood, which is also where the
-    world-state bit for X first lights up.
+    Returns (first_index, grounding id) pairs, by id; ``wanted`` holds the
+    grounding ids to look for (a set, or a dict keyed by id). The stop tile
+    for "walk until X" is exactly where X first enters the radius-1
+    neighborhood, which is also where the world-state bit for X first
+    lights up.
     """
     street = grid.street(pose.street_id)
     hi = min(hi, _runway(grid, pose))
     first: dict[int, int] = {}
     for k in range(hi + 1):
         for gid in grid.groundings_near(street.tiles[pose.index + pose.travel_dir * k], 1):
-            if gid in names:
+            if gid in wanted:
                 first.setdefault(gid, k)
     return [(k, gid) for gid, k in sorted(first.items()) if lo <= k]
 
@@ -323,15 +310,9 @@ class _SentencePlanner:
 
     def walk_until_signal(self, pose: Pose) -> tuple[str, list[Action]] | None:
         """Unnamed generic reference: stop at the next traffic light."""
-        street = self.grid.street(pose.street_id)
-        hi = min(_runway(self.grid, pose), self.spec.walk_max)
-        stop = None
-        for k in range(0, hi + 1):
-            tile = street.tiles[pose.index + pose.travel_dir * k]
-            if not self.signals.isdisjoint(self.grid.groundings_near(tile, 1)):
-                stop = k
-                break
-        if stop is None or not self.spec.walk_min <= stop <= self.spec.walk_max:
+        firsts = _scan_targets(self.grid, self.signals, pose, 0, self.spec.walk_max)
+        stop = min((k for k, _ in firsts), default=None)
+        if stop is None or stop < self.spec.walk_min:
             return None
         noun = ("the traffic light", "the stoplight", "the next light")[
             self.rng.integers(0, 3)
@@ -406,12 +387,9 @@ class _SentencePlanner:
             "walk_count": 4,
             "turn_then_walk_count": 3,
         }
-        kinds = []
-        for kind, weight in weights.items():
-            if kind in self.spec.templates:
-                kinds += [kind] * weight
-        if last_sentence and "verify_end" in self.spec.templates:
-            kinds += ["verify_end"] * 6
+        if last_sentence:
+            weights["verify_end"] = 6
+        kinds = [kind for kind, weight in weights.items() for _ in range(weight)]
         order = [kinds[i] for i in self.rng.permutation(len(kinds))]
         for kind in order:
             made = getattr(self, kind)(pose)

@@ -281,7 +281,6 @@ def train(
 
 def finite_difference_check(
     build_loss, params, names, h: float = 1e-4, corrupt_rule: str | None = None,
-    corrupt_scale: float = 2.0,
 ) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
@@ -294,7 +293,7 @@ def finite_difference_check(
     """
     loss = build_loss()
     params.grads.fill(0)
-    ad.backward(loss, corrupt_rule=corrupt_rule, corrupt_scale=corrupt_scale)
+    ad.backward(loss, corrupt_rule=corrupt_rule)
     analytic = params.views(params.grads.copy())
 
     def eval_loss() -> float:
@@ -349,7 +348,7 @@ class ModelPolicy:
         if self.model is None:
             raise RuntimeError("policy not fitted")
         tokens = instruction_tokens(instruction, self.config)
-        return self.model.predict(tokens, pose, grid, instruction.bindings)
+        return self.model.beam_search(tokens, pose, grid, instruction.bindings).actions
 
 
 @dataclass

@@ -279,15 +279,6 @@ class GridMap:
 
     # -- spatial queries ----------------------------------------------------
 
-    def entities_at(self, c: TileCoord, radius: int) -> list[Entity]:
-        """Entities whose footprint meets the Chebyshev ball around ``c``, by id."""
-        if not self.in_grid(c):
-            raise MapValidationError(f"coordinate {c} outside grid")
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        ents = self._entities_by_id
-        return [ents[g] for g in sorted(g for g in self.groundings_near(c, radius) if g in ents)]
-
     def streets_through(self, c: TileCoord) -> list[tuple[Street, int]]:
         """Every (street, index) whose tile list contains ``c``.
 

@@ -1,3 +1,5 @@
+import urbanav  # noqa: F401  (first: it pins the BLAS threads before NumPy loads)
+
 import numpy as np
 import pytest
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from urbanav import baselines
 from urbanav.baselines import (
     JumpPolicy,
     NoMovePolicy,
@@ -92,9 +93,9 @@ def test_jump_turns_toward_target_on_other_street(plus):
     assert any(max(abs(t.col - 4), abs(t.row - 5)) <= 1 for t in route.tiles)
 
 
-def test_jump_respects_step_budget(plus):
-    actions = jump(plus, (("<SHOP_1>", 10),), Pose(2, 0, 1),
-                   np.random.default_rng(0), step_budget=3)
+def test_jump_respects_step_budget(plus, monkeypatch):
+    monkeypatch.setattr(baselines, "JUMP_STEP_BUDGET", 3)
+    actions = jump(plus, (("<SHOP_1>", 10),), Pose(2, 0, 1), np.random.default_rng(0))
     assert len(actions) <= 4  # 3 steps + END
 
 

@@ -1,9 +1,13 @@
 import json
+from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 
 from urbanav.cli import build_parser, main
 from urbanav.corpus import load_corpus
+from urbanav.model import ModelConfig
+from urbanav.synth import SynthSpec
 from urbanav.worldmap import save_map
 
 from conftest import plus_map
@@ -189,10 +193,11 @@ BAD_CONFIGS = [
     ("evaluate", "seed = 7", "--seeds"),
     ("train", "variant = CGA", "--variant"),
     ("evaluate", "variant = CGA", "--policy"),
-    ("synth", "entity_counts = 3", "cannot be set"),
-    ("synth", "templates = walk_until_signal", "cannot be set"),
-    ("synth", "train_names = a", "cannot be set"),
-    ("synth", "unseen_names = a", "cannot be set"),
+    # the synth entity counts, templates and name pools are constants, not fields
+    ("synth", "entity_counts = 3", "unknown config key"),
+    ("synth", "templates = walk_until_signal", "unknown config key"),
+    ("synth", "train_names = a", "unknown config key"),
+    ("synth", "unseen_names = a", "unknown config key"),
     ("synth", "grid_size = big", "'big' does not parse as int"),
     ("train", "learning_rate = fast", "'fast' does not parse as float"),
     ("evaluate", "dropout_keep = most", "'most' does not parse as float"),
@@ -231,7 +236,7 @@ BAD_CONFIGS = [
                               for c, line, _ in BAD_CONFIGS])
 def test_bad_config_value_or_key_names_the_key(data_dir, tmp_path, monkeypatch, capsys,
                                                command, line, expected):
-    """A key a flag owns, a field a flat file cannot express, a value its field
+    """A key a flag owns, an unknown key, a value its field
     cannot parse or holds out of range, or a key set twice exits 1 with one
     error line naming the key, before anything trains; a run that diverges
     exits 1 with one naming the epoch and example. No traceback, nothing
@@ -258,6 +263,14 @@ def test_bad_config_value_or_key_names_the_key(data_dir, tmp_path, monkeypatch, 
     else:
         assert f"config key {line.split('=')[0].strip()!r}" in err and not trained
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config_cls", [ModelConfig, SynthSpec])
+def test_every_config_field_parses_from_a_flat_line(config_cls):
+    """A flat config file can set every field: each is an int, a float or a str."""
+    types = get_type_hints(config_cls)
+    assert {f.name: types[f.name] for f in fields(config_cls)
+            if types[f.name] not in (int, float, str)} == {}
 
 
 def test_evaluate_reports_the_variant_it_trained(data_dir, tmp_path, monkeypatch):

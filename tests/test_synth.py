@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from urbanav.corpus import format_corpus
-from urbanav.executor import Action, Pose, pose_tile
+from urbanav.executor import Action, Pose, execute, pose_tile
 from urbanav.synth import (
+    UNSEEN_NAME_POOL,
     SynthSpec,
     _runway,
     _scan_targets,
@@ -12,6 +14,8 @@ from urbanav.synth import (
     generate_map,
 )
 from urbanav.worldmap import format_map
+
+from conftest import straight_map
 
 
 def test_generation_is_pure_function_of_spec_and_seed():
@@ -44,7 +48,7 @@ def test_unseen_pool_only_in_last_map():
     spec = SynthSpec(n_maps=3, paragraphs_per_map=4, seed=5)
     maps, _ = generate(spec)
     last = maps[f"synth-{spec.n_maps}"]
-    unseen = set(spec.unseen_names)
+    unseen = set(UNSEEN_NAME_POOL)
     for name, _, _ in last.named_groundings():
         assert name.split()[0] in unseen
     for mid, grid in maps.items():
@@ -66,22 +70,22 @@ def test_infeasible_spec_rejected():
     with pytest.raises(ValueError, match="name pools"):
         SynthSpec(n_maps=8, paragraphs_per_map=2)
     with pytest.raises(ValueError, match="grid"):
-        SynthSpec(grid_size=6, entity_counts={"traffic_signal": 200})
+        SynthSpec(grid_size=6)
 
 
-def test_minimal_one_street_end_only():
-    spec = SynthSpec(
-        n_maps=1, grid_size=9, rows=1, cols=0,
-        entity_counts={}, paragraphs_per_map=1,
-        min_sentences=1, max_sentences=1,
-        templates=("verify_end",), seed=2,
-    )
-    maps, corpus = generate(spec)
-    instr = corpus.paragraphs[0].instructions[0]
-    # with no entities and only END-style templates, the fallback still produces
-    # a well-formed instruction
-    assert instr.actions[-1] is Action.END
-    assert len(corpus.paragraphs) == 1
+def test_plan_falls_back_on_short_straight_streets():
+    """With no landmark, no signal and too little runway for any template, ``plan``
+    turns around and walks one step where it can, and otherwise stops."""
+    cases = [
+        (straight_map(3), Pose(1, 1, 1), "Turn around and walk one step.",
+         [Action.TURN_AROUND, Action.WALK, Action.END]),
+        (straight_map(2), Pose(1, 0, 1), "Stop here.", [Action.END]),
+    ]
+    for grid, pose, text, actions in cases:
+        for last in (False, True):
+            planner = _SentencePlanner(SynthSpec(), grid, np.random.default_rng(0))
+            assert planner.plan(pose, last_sentence=last, first_sentence=False) == (text, actions)
+            execute(grid, pose, actions)  # raises unless the fallback executes
 
 
 def test_traffic_signals_sit_on_crossings():

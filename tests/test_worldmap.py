@@ -93,24 +93,33 @@ def test_tile_index_matches_rebuild(synth_small):
         assert rebuilt.tile_index == grid.tile_index
 
 
-# -- entities_at ---------------------------------------------------------------
+# -- groundings_near -------------------------------------------------------------
 
 
-def test_entities_at_radius0_empty_tile(plus):
-    assert plus.entities_at(TileCoord(0, 0), 0) == []
+def test_groundings_near_radius0_empty_tile(plus):
+    assert plus.groundings_near(TileCoord(0, 0), 0) == ()
 
 
-def test_entities_at_footprint_membership():
+def test_groundings_near_multi_tile_footprint():
+    """A 2x2 footprint is near from each of its tiles and from the ring around it.
+
+    Synthetic entities are all one tile, so nothing else covers this."""
     footprint = frozenset({TileCoord(1, 1), TileCoord(2, 1), TileCoord(1, 2), TileCoord(2, 2)})
     grid = GridMap(
         "m", 5, 5,
         entities=[Entity(id=7, entity_type="park", is_building=False, footprint=footprint)],
         streets=[Street(id=1, tiles=(TileCoord(0, 0), TileCoord(0, 1)))],
     )
-    assert [e.id for e in grid.entities_at(TileCoord(2, 2), 0)] == [7]
+    for tile in footprint:
+        assert grid.groundings_near(tile, 0) == (7,)
+    assert grid.groundings_near(TileCoord(3, 3), 0) == ()
+    assert grid.groundings_near(TileCoord(3, 3), 1) == (7,)
+    assert grid.groundings_near(TileCoord(4, 4), 1) == ()
+    assert grid.groundings_near(TileCoord(0, 1), 0) == (1,)
+    assert grid.groundings_near(TileCoord(0, 1), 1) == (7, 1)  # entities, then streets
 
 
-def test_entities_at_adjacent_pois():
+def test_groundings_near_adjacent_pois():
     grid = GridMap(
         "m", 5, 5,
         entities=[
@@ -121,28 +130,15 @@ def test_entities_at_adjacent_pois():
         ],
         streets=[Street(id=1, tiles=tuple(TileCoord(c, 2) for c in range(5)))],
     )
-    got = [e.id for e in grid.entities_at(TileCoord(2, 2), 1)]
-    # brute force over all footprints: both POIs touch the radius-1 ball
-    expected = sorted(
-        e.id
-        for e in grid.entities
-        if any(chebyshev(TileCoord(2, 2), f) <= 1 for f in e.footprint)
-    )
-    assert got == expected == [3, 4]
-
-
-def test_entities_at_matches_bruteforce_on_synthetic(synth_small):
-    maps, _ = synth_small
-    rng = np.random.default_rng(5)
-    for grid in maps.values():
-        for _ in range(80):
-            c = TileCoord(int(rng.integers(0, grid.width)), int(rng.integers(0, grid.height)))
-            r = int(rng.integers(0, 4))
-            expected = sorted(
-                e.id for e in grid.entities
-                if any(chebyshev(c, f) <= r for f in e.footprint)
-            )
-            assert [e.id for e in grid.entities_at(c, r)] == expected
+    # brute force over all footprints: both POIs touch the radius-1 ball, neither the tile
+    for radius in (0, 1):
+        expected = tuple(
+            e.id
+            for e in grid.entities
+            if any(chebyshev(TileCoord(2, 2), f) <= radius for f in e.footprint)
+        )
+        assert grid.groundings_near(TileCoord(2, 2), radius) == (*expected, 1)
+    assert grid.groundings_near(TileCoord(2, 2), 1) == (3, 4, 1)
 
 
 def test_walkable_tiles_within_one_match_bruteforce(synth_small):
@@ -175,11 +171,6 @@ def test_groundings_near_matches_bruteforce(synth_small, radius):
                 assert grid.groundings_near(c, radius) == expected
         assert grid.groundings_near(TileCoord(-1, 0), radius) == ()
         assert grid.groundings_near(TileCoord(grid.width, 3), radius) == ()
-
-
-def test_entities_at_out_of_grid_errors(plus):
-    with pytest.raises(MapValidationError):
-        plus.entities_at(TileCoord(99, 0), 1)
 
 
 # -- path_ahead -----------------------------------------------------------------
