@@ -54,19 +54,28 @@ def _load_data_dir(path: str):
 def _check_corpus_maps(corpus, maps, source) -> None:
     """Raises ``CorpusFormatError`` where a paragraph's map, start pose or binding is missing,
     where a binding's variable is not of its grounding's type, or where an instruction's
-    gold actions do not run to its ROUTE from its start."""
+    gold actions do not run to its ROUTE from its start.
+
+    The error names ``source:line``, the line ``parse_corpus`` read the instruction's
+    INSTRUCTION record from, or the paragraph's PARAGRAPH record for a missing map and
+    for a bad start pose of instruction 0, which takes its start from that record."""
     for paragraph in corpus.paragraphs:
         grid = maps.get(paragraph.map_id)
         if grid is None:
             raise CorpusFormatError(
-                f"{source}: paragraph {paragraph.id}: no map {paragraph.map_id!r} in the data dir"
+                f"{source}:{paragraph.line}: paragraph {paragraph.id}: "
+                f"no map {paragraph.map_id!r} in the data dir"
             )
         for i, instr in enumerate(paragraph.instructions):
-            where = f"{source}: paragraph {paragraph.id}, instruction {i}"
+            what = f"paragraph {paragraph.id}, instruction {i}"
+            where = f"{source}:{instr.line}: {what}"
             try:
                 check_pose(grid, instr.start)
             except InvalidPose as err:
-                raise CorpusFormatError(f"{where}: bad start pose: {err}") from None
+                # instruction 0 starts at the PARAGRAPH record's start=; a later one
+                # where the ROUTE before it ended, which that replay has checked
+                line = paragraph.line if i == 0 else instr.line
+                raise CorpusFormatError(f"{source}:{line}: {what}: bad start pose: {err}") from None
             for var, gid in instr.bindings:
                 try:
                     gtype = grid.grounding_type(gid)

@@ -12,13 +12,21 @@ a corpus after reading it reproduces the file byte for byte:
     BINDINGS <VAR>=<gid>;... | -
     ROUTE (c,r);(c,r);... final=(street_id,index,dir)
     ACTIONS WALK ... END
+
+The records (``Corpus``, ``Paragraph``, ``Instruction`` and
+``executor.Route``) are frozen dataclasses with ``__slots__``: they carry no
+per-object ``__dict__``, and they pickle, as each ``evaluate --jobs`` worker
+needs. A parsed ``Paragraph`` and ``Instruction`` keep the line of their
+PARAGRAPH or INSTRUCTION record in ``line``, which takes no part in equality,
+so a parsed corpus equals the corpus it was written from; it is None on a
+generated one.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abstraction import is_variable_token
 from .executor import Action, Pose, Route, format_actions, parse_actions
@@ -35,7 +43,7 @@ class CorpusFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     text: str
     tokens: tuple[str, ...]
@@ -44,17 +52,19 @@ class Instruction:
     start: Pose
     route: Route
     actions: tuple[Action, ...]
+    line: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Paragraph:
     id: str
     map_id: str
     start: Pose
     instructions: tuple[Instruction, ...]
+    line: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corpus:
     paragraphs: tuple[Paragraph, ...]
 
@@ -136,9 +146,11 @@ def parse_corpus(text: str, source: str = "<string>") -> Corpus:
         if not m:
             fail(f"bad PARAGRAPH record {line!r}")
         pid, map_id, start = m.group(1), m.group(2), _parse_pose(m.group(3), f"{source}:{pos}")
+        paragraph_line = pos
         instructions: list[Instruction] = []
         line = next_line()
         while line is not None and line.startswith("INSTRUCTION "):
+            instruction_line = pos
             text_line = expect("TEXT")
             tokens = tuple(map(sys.intern, expect("TOKENS").split()))
             abstract = tuple(map(sys.intern, expect("ABSTRACT").split()))
@@ -183,12 +195,13 @@ def parse_corpus(text: str, source: str = "<string>") -> Corpus:
                     start=instructions[-1].route.final_pose if instructions else start,
                     route=Route(tuple(tiles), final),
                     actions=actions,
+                    line=instruction_line,
                 )
             )
             line = next_line()
         if not instructions:
             fail(f"paragraph {pid} has no instructions")
-        paragraphs.append(Paragraph(pid, map_id, start, tuple(instructions)))
+        paragraphs.append(Paragraph(pid, map_id, start, tuple(instructions), paragraph_line))
     return Corpus(tuple(paragraphs))
 
 

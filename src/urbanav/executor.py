@@ -13,8 +13,8 @@ and every later ``step``, beam expansion, JUMP move, synth plan and
 ``route_to_actions`` call on that pair is one dictionary lookup.
 
 Also provides the inverse oracle ``route_to_actions`` that recovers a
-minimal action string from a pinned tile route, used to derive training
-supervision.
+minimal action string from a pinned tile route. Synth's gold actions are
+the planner's own; the tests hold them equal to what this oracle recovers.
 
 ``Pose`` is a ``NamedTuple``, like ``worldmap.TileCoord``: its hash and
 equality run in C, its hash equals a frozen dataclass's of the same fields,
@@ -64,7 +64,7 @@ class Pose(NamedTuple):
         return f"({self.street_id},{self.index},{self.travel_dir:+d})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     tiles: tuple[TileCoord, ...]
     final_pose: Pose

@@ -3,12 +3,19 @@
 Maps are Manhattan-style grids of named axis-aligned streets with named
 points of interest placed alongside them and unnamed traffic signals at
 crossings. Instructions are rendered from templates covering named and
-unnamed references, directions, imperatives, counting, and sequencing;
-gold actions always round-trip through the executor. Each map draws its
-names from a pool disjoint from every other map's, so held-out maps only
-contain entities never seen in training.
+unnamed references, directions, imperatives, counting, and sequencing.
+An instruction's gold actions are the planner's own actions, and its route
+is what ``execute`` makes of them. The planner's actions are already the
+minimal string ``route_to_actions`` would recover from that route;
+``tests/test_synth.py::test_planner_actions_are_route_to_actions`` holds
+this on every sentence of the preset specs. Each map draws its names from a
+pool disjoint from every other map's, so held-out maps only contain
+entities never seen in training.
 
-Generation is a pure function of (spec, seed).
+Generation is a pure function of (spec, seed). A text is tokenized, matched
+and abstracted once per map however many instructions say it, and those
+instructions share one string and one set of token tuples; equal action
+strings on a map share one tuple.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .executor import (
     TURN_ACTIONS,
     execute,
     pose_tile,
-    route_to_actions,
     step,
     successor,
 )
@@ -261,6 +267,18 @@ _TURN_WORDS = {
 }
 
 
+# The planner's templates by name, each repeated by its weight in the draw;
+# a paragraph's last sentence may also verify where it ends.
+_KINDS = (
+    ("walk_until",) * 7
+    + ("walk_until_signal",) * 2
+    + ("turn_then_walk_until",) * 4
+    + ("walk_count",) * 4
+    + ("turn_then_walk_count",) * 3
+)
+_LAST_KINDS = _KINDS + ("verify_end",) * 6
+
+
 class _SentencePlanner:
     def __init__(self, spec: SynthSpec, grid: GridMap, rng: np.random.Generator):
         self.spec = spec
@@ -380,19 +398,9 @@ class _SentencePlanner:
         return text, [Action.END]
 
     def plan(self, pose: Pose, last_sentence: bool, first_sentence: bool) -> tuple[str, list[Action]]:
-        weights = {
-            "walk_until": 7,
-            "walk_until_signal": 2,
-            "turn_then_walk_until": 4,
-            "walk_count": 4,
-            "turn_then_walk_count": 3,
-        }
-        if last_sentence:
-            weights["verify_end"] = 6
-        kinds = [kind for kind, weight in weights.items() for _ in range(weight)]
-        order = [kinds[i] for i in self.rng.permutation(len(kinds))]
-        for kind in order:
-            made = getattr(self, kind)(pose)
+        kinds = _LAST_KINDS if last_sentence else _KINDS
+        for i in self.rng.permutation(len(kinds)):
+            made = getattr(self, kinds[i])(pose)
             if made:
                 text, actions = made
                 # sequencing connective on non-initial sentences
@@ -425,31 +433,30 @@ def generate(spec: SynthSpec) -> tuple[dict[str, GridMap], Corpus]:
         lexicon = Lexicon.from_map(grid)
         rng = np.random.default_rng([spec.seed, 0xC0, m])
         planner = _SentencePlanner(spec, grid, rng)
+        # text -> (text, tokens, abstract tokens, bindings), parsed once per distinct text
+        parsed: dict[str, tuple] = {}
+        # equal action strings share one tuple (about 97% of a decode map's repeat one)
+        shared_actions: dict[tuple[Action, ...], tuple[Action, ...]] = {}
         for p in range(spec.paragraphs_per_map):
             start = _start_pose(grid, rng)
             n_sentences = int(rng.integers(spec.min_sentences, spec.max_sentences + 1))
             pose = start
             instructions: list[Instruction] = []
             for s in range(n_sentences):
-                text, actions = planner.plan(
+                text, planned = planner.plan(
                     pose, last_sentence=s == n_sentences - 1, first_sentence=s == 0
                 )
-                route = execute(grid, pose, actions)
-                gold = route_to_actions(grid, pose, route)
-                sentence = tokenize(text)
-                matches = match_entities(sentence, grid, lexicon)
-                abstracted = abstract(sentence, matches, grid)
-                instructions.append(
-                    Instruction(
-                        text=text,
-                        tokens=sentence.tokens,
-                        abstract_tokens=abstracted.tokens,
-                        bindings=abstracted.bindings,
-                        start=pose,
-                        route=route,
-                        actions=tuple(gold),
+                actions = tuple(planned)
+                actions = shared_actions.setdefault(actions, actions)
+                fields = parsed.get(text)
+                if fields is None:
+                    sentence = tokenize(text)
+                    abstracted = abstract(sentence, match_entities(sentence, grid, lexicon), grid)
+                    fields = parsed[text] = (
+                        text, sentence.tokens, abstracted.tokens, abstracted.bindings
                     )
-                )
+                route = execute(grid, pose, actions)
+                instructions.append(Instruction(*fields, start=pose, route=route, actions=actions))
                 pose = route.final_pose
             paragraphs.append(
                 Paragraph(f"{grid.id}-p{p:04d}", grid.id, start, tuple(instructions))

@@ -110,30 +110,31 @@ def test_abstract_command(tmp_path, capsys):
 
 
 BROKEN_CORPORA = {
-    # case: (line number in corpus.txt, text on it, its replacement, the error after the path)
-    "unknown map": (2, "map=synth-1", "map=synth-9",
+    # case: (line number in corpus.txt, text on it, its replacement,
+    #        the line the error names, the error after the path and that line)
+    "unknown map": (2, "map=synth-1", "map=synth-9", 2,
                     "paragraph synth-1-p0000: no map 'synth-9' in the data dir"),
-    "unknown binding": (21, "<CAFE_1>=11", "<CAFE_1>=9999",
+    "unknown binding": (21, "<CAFE_1>=11", "<CAFE_1>=9999", 17,
                         "paragraph synth-1-p0000, instruction 2: "
                         "binding <CAFE_1>=9999 names nothing on map synth-1"),
-    "binding of another type": (21, "<CAFE_1>=11", "<CAFE_1>=6",
+    "binding of another type": (21, "<CAFE_1>=11", "<CAFE_1>=6", 17,
                                 "paragraph synth-1-p0000, instruction 2: "
                                 "binding <CAFE_1>=6 names a street on map synth-1, not a cafe"),
-    "bad start pose": (2, "start=(6,13,+1)", "start=(6,99,-1)",
+    "bad start pose": (2, "start=(6,13,+1)", "start=(6,99,-1)", 2,
                        "paragraph synth-1-p0000, instruction 0: "
                        "bad start pose: index 99 is off street 6 of length 18"),
-    "route off the gold actions": (15, "(16,16);(16,15)", "(16,16);(16,14)",
+    "route off the gold actions": (15, "(16,16);(16,15)", "(16,16);(16,14)", 10,
                                    "paragraph synth-1-p0000, instruction 1: gold actions do not "
                                    "reproduce ROUTE: tile 2 is (16,14) in ROUTE, (16,15) when run"),
-    "route shorter than the gold actions": (22, ";(16,7);(16,6) final", ";(16,7) final",
+    "route shorter than the gold actions": (22, ";(16,7);(16,6) final", ";(16,7) final", 17,
                                             "paragraph synth-1-p0000, instruction 2: gold actions "
                                             "do not reproduce ROUTE: tile 9 is absent in ROUTE, "
                                             "(16,6) when run"),
-    "final pose off the gold actions": (8, "final=(6,17,+1)", "final=(6,17,-1)",
+    "final pose off the gold actions": (8, "final=(6,17,+1)", "final=(6,17,-1)", 3,
                                         "paragraph synth-1-p0000, instruction 0: gold actions do "
                                         "not reproduce ROUTE: final pose is (6,17,-1) in ROUTE, "
                                         "(6,17,+1) when run"),
-    "gold actions that fail": (9, "WALK WALK WALK WALK END", "WALK WALK WALK WALK WALK END",
+    "gold actions that fail": (9, "WALK WALK WALK WALK END", "WALK WALK WALK WALK WALK END", 3,
                                "paragraph synth-1-p0000, instruction 0: gold actions fail: "
                                "action 4 (WALK) failed: street 6 ends at index 17"),
 }
@@ -141,13 +142,14 @@ BROKEN_CORPORA = {
 
 @pytest.mark.parametrize("case", BROKEN_CORPORA)
 def test_corpus_is_checked_against_its_maps(data_dir, tmp_path, capsys, case):
-    line_no, old, new, message = BROKEN_CORPORA[case]
+    line_no, old, new, error_line, message = BROKEN_CORPORA[case]
     broken = tmp_path / "broken"
     broken.mkdir()
     for map_path in data_dir.glob("*.map"):
         (broken / map_path.name).write_bytes(map_path.read_bytes())
     lines = (data_dir / "corpus.txt").read_text().splitlines(keepends=True)
     assert old in lines[line_no - 1]
+    assert lines[error_line - 1].startswith(("PARAGRAPH ", "INSTRUCTION "))
     lines[line_no - 1] = lines[line_no - 1].replace(old, new)
     (broken / "corpus.txt").write_text("".join(lines))
     cfg = tmp_path / "model.cfg"
@@ -157,7 +159,7 @@ def test_corpus_is_checked_against_its_maps(data_dir, tmp_path, capsys, case):
                  ["evaluate", "--policy", "jump", "--report-dir", str(tmp_path / "rep")]):
         assert main([*argv, "--data", str(broken)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: {broken / 'corpus.txt'}: {message}\n"
+        assert captured.err == f"error: {broken / 'corpus.txt'}:{error_line}: {message}\n"
     assert not (tmp_path / "m.npz").exists() and not (tmp_path / "rep").exists()
 
 

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from urbanav.corpus import format_corpus
-from urbanav.executor import Action, Pose, execute, pose_tile
+from urbanav.executor import Action, Pose, execute, pose_tile, route_to_actions
 from urbanav.synth import (
     UNSEEN_NAME_POOL,
     SynthSpec,
@@ -64,6 +66,47 @@ def test_gold_routes_roundtrip(synth_small):
     stats = corpus_stats(corpus, maps)
     assert stats["instructions"] == corpus.n_instructions()
     assert stats["paragraphs"] == len(corpus.paragraphs)
+
+
+# The decode benchmark's held-out maps: each the one map of a default spec with 350 paragraphs.
+PRESETS = {
+    "default": SynthSpec.default(),
+    "run-shape": SynthSpec.run_shape(),
+    "decode one-map": replace(SynthSpec.default(), n_maps=1, paragraphs_per_map=350),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_planner_actions_are_route_to_actions(preset, seed):
+    """Generation keeps the planner's actions as gold; they are the minimal string
+    ``route_to_actions`` recovers from the route ``execute`` makes of them."""
+    maps, corpus = generate(replace(PRESETS[preset], seed=seed))
+    for paragraph, instr in corpus.instructions():
+        grid = maps[paragraph.map_id]
+        assert route_to_actions(grid, instr.start, instr.route) == list(instr.actions)
+        assert execute(grid, instr.start, instr.actions) == instr.route
+
+
+def test_equal_texts_and_actions_share_one_parse_and_one_tuple(synth_default):
+    _, corpus = synth_default
+    parses: dict[tuple, object] = {}
+    actions: dict[tuple, tuple] = {}
+    for paragraph, instr in corpus.instructions():
+        first = parses.setdefault((paragraph.map_id, instr.text), instr)
+        for field in ("text", "tokens", "abstract_tokens", "bindings"):
+            assert getattr(first, field) is getattr(instr, field)
+        shared = actions.setdefault((paragraph.map_id, instr.actions), instr.actions)
+        assert shared is instr.actions
+    assert corpus.n_instructions() > max(len(parses), len(actions))  # texts and actions repeat
+
+
+def test_records_have_no_instance_dict(synth_small):
+    _, corpus = synth_small
+    paragraph = corpus.paragraphs[0]
+    instr = paragraph.instructions[0]
+    for record in (corpus, paragraph, instr, instr.route):
+        assert not hasattr(record, "__dict__")
 
 
 def test_infeasible_spec_rejected():

@@ -77,10 +77,20 @@ def test_fields_are_read_only(value, field):
         setattr(value, field, 0)
 
 
-@pytest.mark.parametrize("value", [TileCoord(3, 4), Pose(2, 5, -1)])
+# what each `evaluate --jobs` worker receives: a corpus and its slotted records,
+# generated, and parsed with the line each record was read from
+_, _CORPUS = generate(SynthSpec(n_maps=2, paragraphs_per_map=3, seed=5))
+_PARSED = parse_corpus(format_corpus(_CORPUS))
+_RECORDS = [_CORPUS, _CORPUS.paragraphs[0], _CORPUS.paragraphs[0].instructions[-1],
+            _CORPUS.paragraphs[0].instructions[-1].route,
+            _PARSED.paragraphs[-1], _PARSED.paragraphs[-1].instructions[-1]]
+
+
+@pytest.mark.parametrize("value", [TileCoord(3, 4), Pose(2, 5, -1), *_RECORDS])
 def test_pickle_round_trip(value):
     back = pickle.loads(pickle.dumps(value))
     assert back == value and type(back) is type(value)
+    assert getattr(back, "line", None) == getattr(value, "line", None)
 
 
 def test_equal_tokens_are_one_object():
